@@ -115,7 +115,7 @@ maras::Status Generate(const std::filesystem::path& root) {
   QuarterCheckpoint skipped;
   skipped.outcome.label = "2014Q2";
   skipped.outcome.loaded = false;
-  skipped.outcome.error = "IOError: DEMO14Q2.txt missing";
+  skipped.outcome.status = maras::Status::IOError("DEMO14Q2.txt missing");
   MARAS_RETURN_IF_ERROR(WriteFile(
       root / "checkpoint" / "quarter_skipped.bin",
       WithSelector(1, maras::core::EncodeQuarterCheckpoint(skipped))));

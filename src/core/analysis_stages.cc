@@ -1,6 +1,7 @@
 #include "core/analysis_stages.h"
 
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "mining/closed_itemsets.h"
@@ -26,6 +27,30 @@ void CountItemDomains(const mining::Itemset& itemset,
       ++*adrs;
     }
   }
+}
+
+// One checkpointed stage of the tail: replayed when resuming, otherwise
+// computed into `*value` and committed.
+template <typename T, typename ComputeFn>
+maras::Status RunStage(const MultiQuarterOptions& options,
+                       const RunContext& ctx, const std::string& stage,
+                       maras::StatusOr<T> (*decode)(std::string_view),
+                       std::string (*encode)(const T&), ComputeFn&& compute,
+                       T* value, SurveillanceAnalysis* out) {
+  MARAS_RETURN_IF_ERROR(ctx.Check());
+  const bool resumed = TryResumeStage(
+      options, stage,
+      [&](const std::string& payload) -> maras::Status {
+        MARAS_ASSIGN_OR_RETURN(*value, decode(payload));
+        return maras::Status::OK();
+      },
+      &out->notes);
+  if (resumed) {
+    ++out->stages_resumed;
+    return maras::Status::OK();
+  }
+  MARAS_ASSIGN_OR_RETURN(*value, compute());
+  return CommitStage(options, stage, [&] { return encode(*value); });
 }
 
 }  // namespace
@@ -104,8 +129,7 @@ bool LatticeMcacEligible(const AnalyzerOptions& analyzer) {
   // Exactness gate (concept_lattice.h): every closed node below a
   // database-closed target is itself database-closed, so the descent needs
   // either an uncapped family or database-verified targets.
-  return analyzer.lattice_mcac && (analyzer.mining.max_itemset_size == 0 ||
-                                   analyzer.verify_closed_in_db);
+  return analyzer.mining.max_itemset_size == 0 || analyzer.verify_closed_in_db;
 }
 
 maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
@@ -117,12 +141,11 @@ maras::StatusOr<mining::ConceptLattice> BuildLatticeStage(
   return lattice;
 }
 
-maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
+maras::StatusOr<std::vector<Mcac>> BuildMcacsStage(
     const std::vector<DrugAdrRule>& rules,
     const mining::ItemDictionary& items,
-    const mining::TransactionDatabase& db, RankingMethod method,
-    const AnalyzerOptions& analyzer, const RunContext& ctx,
-    const mining::ConceptLattice* lattice) {
+    const mining::TransactionDatabase& db, const AnalyzerOptions& analyzer,
+    const RunContext& ctx, const mining::ConceptLattice* lattice) {
   mining::SubsetSupportCache cache(&db);
   McacBuilder builder = lattice != nullptr
                             ? McacBuilder(&items, &db, lattice, &cache)
@@ -140,7 +163,107 @@ maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
     MARAS_ASSIGN_OR_RETURN(Mcac mcac, std::move(*slot));
     mcacs.push_back(std::move(mcac));
   }
+  return mcacs;
+}
+
+maras::StatusOr<std::vector<RankedMcac>> BuildRankedStage(
+    const std::vector<DrugAdrRule>& rules,
+    const mining::ItemDictionary& items,
+    const mining::TransactionDatabase& db, RankingMethod method,
+    const AnalyzerOptions& analyzer, const RunContext& ctx,
+    const mining::ConceptLattice* lattice) {
+  MARAS_ASSIGN_OR_RETURN(
+      std::vector<Mcac> mcacs,
+      BuildMcacsStage(rules, items, db, analyzer, ctx, lattice));
   return RankMcacs(mcacs, method, analyzer.exclusiveness);
+}
+
+bool TryResumeStage(
+    const MultiQuarterOptions& options, const std::string& stage,
+    const std::function<maras::Status(const std::string&)>& decode,
+    std::vector<std::string>* notes) {
+  if (options.checkpoint_dir.empty() || !options.resume) return false;
+  maras::StatusOr<std::string> payload =
+      ReadCheckpoint(options.checkpoint_dir, stage);
+  if (payload.status().IsNotFound()) return false;  // nothing written yet
+  maras::Status rejected =
+      payload.ok() ? decode(*payload) : payload.status();
+  if (rejected.ok()) return true;
+  notes->push_back("checkpoint for stage '" + stage +
+                   "' rejected: " + rejected.ToString() + "; recomputing");
+  return false;
+}
+
+maras::Status CommitStage(const MultiQuarterOptions& options,
+                          const std::string& stage,
+                          const std::function<std::string()>& encode) {
+  if (!options.checkpoint_dir.empty()) {
+    MARAS_RETURN_IF_ERROR(
+        WriteCheckpoint(options.checkpoint_dir, stage, encode()));
+  }
+  // Crash-injection point: returning false simulates a process kill right
+  // after this stage boundary.
+  if (options.stage_hook && !options.stage_hook(stage)) {
+    return maras::Status::Cancelled("injected crash at stage " + stage);
+  }
+  return maras::Status::OK();
+}
+
+maras::StatusOr<SurveillanceAnalysis> RunAnalysisTail(
+    SurveillanceAnalysis out, const MultiQuarterOptions& options,
+    const AnalyzerOptions& analyzer, RankingMethod method,
+    const MineStep& mine) {
+  const RunContext ungoverned;
+  const RunContext& ctx =
+      options.context != nullptr ? *options.context : ungoverned;
+  const mining::ItemDictionary& items = out.run.merged.items;
+  const mining::TransactionDatabase& db = out.run.merged.transactions;
+
+  ClosedCheckpoint closed_stage;
+  MARAS_RETURN_IF_ERROR(RunStage(
+      options, ctx, "closed", DecodeClosedCheckpoint, EncodeClosedCheckpoint,
+      [&]() -> maras::StatusOr<ClosedCheckpoint> {
+        MARAS_ASSIGN_OR_RETURN(GovernedMineResult mined, mine(db));
+        return BuildClosedStage(std::move(mined), items, analyzer, ctx);
+      },
+      &closed_stage, &out));
+
+  std::vector<DrugAdrRule> rules;
+  MARAS_RETURN_IF_ERROR(RunStage(
+      options, ctx, "rules", DecodeRules, EncodeRules,
+      [&] {
+        return BuildRulesStage(closed_stage.closed, items, db, analyzer, ctx);
+      },
+      &rules, &out));
+
+  std::vector<RankedMcac> ranked;
+  MARAS_RETURN_IF_ERROR(RunStage(
+      options, ctx, "ranked", DecodeRankedMcacs, EncodeRankedMcacs,
+      [&]() -> maras::StatusOr<std::vector<RankedMcac>> {
+        // The lattice is rebuilt (never checkpointed): it is a pure
+        // function of the closed family, cheaper to reconstruct than to
+        // persist, and a resumed "ranked" stage skips it entirely.
+        mining::ConceptLattice lattice;
+        const bool use_lattice = LatticeMcacEligible(analyzer);
+        if (use_lattice) {
+          MARAS_ASSIGN_OR_RETURN(
+              lattice, BuildLatticeStage(closed_stage.closed, analyzer, ctx));
+        }
+        return BuildRankedStage(rules, items, db, method, analyzer, ctx,
+                                use_lattice ? &lattice : nullptr);
+      },
+      &ranked, &out));
+
+  out.closed = std::move(closed_stage.closed);
+  out.rules = std::move(rules);
+  out.ranked = std::move(ranked);
+  out.stats = closed_stage.stats;
+  out.stats.mcac_count = out.ranked.size();
+  out.min_support_used = static_cast<size_t>(closed_stage.min_support_used);
+  out.truncated = closed_stage.truncated;
+  out.notes.insert(out.notes.end(), closed_stage.notes.begin(),
+                   closed_stage.notes.end());
+  return out;
 }
 
 }  // namespace maras::core

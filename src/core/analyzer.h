@@ -21,15 +21,16 @@ struct DegradationOptions {
   bool enabled = false;
   // Upper bound on escalation retries before the budget error is returned.
   size_t max_retries = 3;
-  // One notch: min_support <- max(min_support + 1, min_support * factor).
+  // One notch (EscalatedSupport):
+  // min_support <- max(min_support + 1, min_support * factor).
   double support_factor = 2.0;
 };
 
 // End-to-end MARAS analysis options (mining + contextual ranking).
 struct AnalyzerOptions {
-  // mining.num_threads also drives the analyzer's own fan-out (closed-set
-  // filtering and per-candidate MCAC construction); results are
-  // byte-identical at any thread count.
+  // mining.num_threads also drives the analysis stages' own fan-outs
+  // (closed-set filtering, rule generation, MCAC construction); results
+  // are byte-identical at any thread count.
   mining::MiningOptions mining{.min_support = 10, .max_itemset_size = 8};
   // Minimum confidence a *target* rule must reach to form an MCAC.
   double min_confidence = 0.0;
@@ -41,16 +42,10 @@ struct AnalyzerOptions {
   // Required for exactness when mining.max_itemset_size truncates the
   // itemset family (the in-family closedness filter cannot see equal-support
   // supersets beyond the cap); costs one closure computation per candidate.
+  // It also decides the MCAC path: subset supports come from the concept
+  // lattice whenever that is exact — verified targets, or an uncapped mine
+  // — and are enumerated against the database otherwise (same bytes).
   bool verify_closed_in_db = true;
-  // Answer MCAC subset-support queries from the concept-lattice index (built
-  // once over the closed family) with a shared cross-target memo, instead of
-  // re-counting each subset from the transaction database. Output bytes are
-  // identical either way — the lattice differential oracle proves it — so
-  // this is purely a speed knob, kept as a knob so the oracle can force the
-  // enumeration path. The lattice path engages only when it is exact: the
-  // mine was uncapped (mining.max_itemset_size == 0) or verify_closed_in_db
-  // guarantees database-closed targets.
-  bool lattice_mcac = true;
   // Graceful degradation for governed runs (mining.context with a budget).
   DegradationOptions degradation;
 };
@@ -87,6 +82,11 @@ struct GovernedMineResult {
   std::vector<std::string> notes;
 };
 
+// One notch of the degradation ladder:
+// max(min_support + 1, min_support * support_factor).
+size_t EscalatedSupport(size_t min_support,
+                        const DegradationOptions& degradation);
+
 // Mines `db` under `options`, applying the degradation ladder on
 // kResourceExhausted when enabled: each retry escalates min_support one
 // notch (the failed attempt has already released its budget charges, so the
@@ -103,7 +103,8 @@ class MarasAnalyzer {
  public:
   explicit MarasAnalyzer(AnalyzerOptions options) : options_(options) {}
 
-  // Runs mining + MCAC construction on a preprocessed quarter.
+  // Runs mining + MCAC construction on a preprocessed quarter: the stage
+  // sequence of core/analysis_stages.h, without the ranking stage.
   maras::StatusOr<AnalysisResult> Analyze(
       const faers::PreprocessResult& input) const;
 

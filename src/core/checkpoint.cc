@@ -364,7 +364,8 @@ std::string EncodeQuarterCheckpoint(const QuarterCheckpoint& quarter) {
   BinaryWriter w;
   w.Str(quarter.outcome.label);
   w.U8(quarter.outcome.loaded ? 1 : 0);
-  w.Str(quarter.outcome.error);
+  w.U8(static_cast<uint8_t>(quarter.outcome.status.code()));
+  w.Str(quarter.outcome.status.message());
   EncodeIngestReport(&w, quarter.outcome.ingest);
   w.U8(quarter.result.has_value() ? 1 : 0);
   if (quarter.result.has_value()) {
@@ -381,7 +382,17 @@ maras::StatusOr<QuarterCheckpoint> DecodeQuarterCheckpoint(
   uint8_t flag = 0;
   MARAS_RETURN_IF_ERROR(r.U8(&flag));
   quarter.outcome.loaded = flag != 0;
-  MARAS_RETURN_IF_ERROR(r.Str(&quarter.outcome.error));
+  uint8_t code = 0;
+  std::string message;
+  MARAS_RETURN_IF_ERROR(r.U8(&code));
+  MARAS_RETURN_IF_ERROR(r.Str(&message));
+  const bool ok = code == 0;
+  if (code > static_cast<uint8_t>(maras::Status::Code::kResourceExhausted) ||
+      ok != quarter.outcome.loaded || (ok && !message.empty())) {
+    return maras::Status::Corruption("quarter status disagrees with outcome");
+  }
+  quarter.outcome.status =
+      maras::Status::FromCode(static_cast<maras::Status::Code>(code), message);
   MARAS_RETURN_IF_ERROR(DecodeIngestReport(&r, &quarter.outcome.ingest));
   MARAS_RETURN_IF_ERROR(r.U8(&flag));
   if (flag != 0) {

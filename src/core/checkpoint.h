@@ -1,7 +1,6 @@
 #ifndef MARAS_CORE_CHECKPOINT_H_
 #define MARAS_CORE_CHECKPOINT_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,8 @@ namespace maras::core {
 //     re-encoded stage payloads.
 // ---------------------------------------------------------------------------
 
-inline constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: a skipped quarter's checkpoint carries its Status code.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 // FNV-1a 64-bit over `data`; the snapshot integrity checksum.
 uint64_t Fnv1a64(std::string_view data);
@@ -63,13 +63,9 @@ std::string EncodePreprocessResult(const faers::PreprocessResult& result);
 maras::StatusOr<faers::PreprocessResult> DecodePreprocessResult(
     std::string_view payload);
 
-// One per-quarter ingest stage: the outcome (accounting, skip reason) plus
-// the preprocessed corpus when the quarter loaded.
-struct QuarterCheckpoint {
-  QuarterOutcome outcome;
-  std::optional<faers::PreprocessResult> result;
-};
-
+// One per-quarter ingest stage (QuarterCheckpoint, core/multi_quarter.h):
+// the outcome — accounting and the skip status, code and message — plus the
+// preprocessed corpus when the quarter loaded.
 std::string EncodeQuarterCheckpoint(const QuarterCheckpoint& quarter);
 maras::StatusOr<QuarterCheckpoint> DecodeQuarterCheckpoint(
     std::string_view payload);

@@ -121,114 +121,110 @@ const char* TrendVerdictName(TrendVerdict verdict) {
   return "?";
 }
 
-namespace {
-
-// Merges the per-quarter PreprocessResults that survived ingestion. The
-// callers guarantee at least one entry.
-maras::StatusOr<faers::PreprocessResult> MergeLoaded(
-    const std::vector<faers::PreprocessResult>& loaded) {
-  std::vector<const faers::PreprocessResult*> pointers;
-  pointers.reserve(loaded.size());
-  for (const faers::PreprocessResult& quarter : loaded) {
-    pointers.push_back(&quarter);
-  }
-  return MergeQuarters(pointers);
-}
-
-}  // namespace
-
-maras::StatusOr<faers::PreprocessResult> MultiQuarterPipeline::ProcessQuarter(
-    const faers::QuarterDataset& dataset, QuarterOutcome* outcome) const {
-  if (options_.validate) {
-    faers::ValidationReport validation =
-        faers::ValidateDataset(dataset, options_.validation);
-    MARAS_RETURN_IF_ERROR(faers::EnforceValidation(
-        validation, options_.ingest, &outcome->ingest));
-  }
-  faers::Preprocessor preprocessor(options_.preprocess);
-  if (options_.remove_duplicates) {
-    faers::QuarterDataset deduped = faers::RemoveDuplicateCases(
-        dataset, options_.ingest, &outcome->ingest);
-    return preprocessor.Process(deduped, &outcome->ingest);
-  }
-  return preprocessor.Process(dataset, &outcome->ingest);
-}
-
-template <typename Quarter, typename LabelFn, typename LoadFn>
-static maras::StatusOr<MultiQuarterRun> RunPipeline(
-    const MultiQuarterOptions& options, const std::vector<Quarter>& quarters,
-    LabelFn&& label_of, LoadFn&& load_one) {
-  const bool strict =
-      options.ingest.policy == faers::IngestPolicy::kStrict;
-  const maras::RunContext ungoverned;
-  const maras::RunContext& ctx =
-      options.context != nullptr ? *options.context : ungoverned;
-  // Phase 1 — fan out: each quarter is processed by one pool task into its
-  // own (outcome, result) slot; nothing is shared between tasks. The run
-  // context is polled before each quarter is handed out, so a governance
-  // trip stops scheduling remaining quarters.
-  const size_t n = quarters.size();
-  std::vector<QuarterOutcome> outcomes(n);
-  std::vector<std::optional<maras::StatusOr<faers::PreprocessResult>>>
-      processed(n);
-  maras::Status fan_out = maras::TryParallelFor(
-      options.num_threads, n, ctx, [&](size_t i) -> maras::Status {
-        outcomes[i].label = label_of(quarters[i]);
-        processed[i].emplace(load_one(quarters[i], &outcomes[i]));
-        return maras::Status::OK();
-      });
-  if (!fan_out.ok()) {
-    return maras::WithContext(fan_out, "multi-quarter ingest");
-  }
-  // Phase 2 — reduce serially in input order, so accounting, warning order,
-  // strict-mode error choice, and the merged corpus match the serial run.
+maras::StatusOr<MultiQuarterRun> ReduceQuarters(
+    std::vector<QuarterCheckpoint> slots, faers::IngestPolicy policy,
+    const std::function<maras::Status(size_t, const QuarterCheckpoint&)>&
+        on_quarter) {
   MultiQuarterRun run;
-  std::vector<faers::PreprocessResult> loaded;
-  for (size_t i = 0; i < n; ++i) {
-    QuarterOutcome outcome = std::move(outcomes[i]);
-    maras::StatusOr<faers::PreprocessResult>& result = *processed[i];
-    if (result.ok()) {
-      outcome.loaded = true;
-      ++run.quarters_loaded;
-      loaded.push_back(*std::move(result));
-    } else {
-      if (strict) {
-        return maras::WithContext(result.status(),
-                                  "quarter " + outcome.label);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    QuarterOutcome& outcome = slots[i].outcome;
+    if (!outcome.loaded) {
+      if (policy == faers::IngestPolicy::kStrict) {
+        return maras::WithContext(outcome.status, "quarter " + outcome.label);
       }
-      outcome.error = result.status().ToString();
       run.ingest.warnings.push_back("skipping quarter " + outcome.label +
-                                    ": " + outcome.error);
+                                    ": " + outcome.status.ToString());
     }
+    if (on_quarter) MARAS_RETURN_IF_ERROR(on_quarter(i, slots[i]));
+    if (outcome.loaded) ++run.quarters_loaded;
     run.ingest.Merge(outcome.ingest);
     run.outcomes.push_back(std::move(outcome));
   }
-  if (loaded.empty()) {
-    return maras::Status::Corruption(
-        "all " + std::to_string(quarters.size()) +
-        " quarters failed ingestion");
+  if (run.quarters_loaded == 0) {
+    return maras::Status::Corruption("all " + std::to_string(slots.size()) +
+                                     " quarters failed ingestion");
   }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeLoaded(loaded));
+  std::vector<const faers::PreprocessResult*> loaded;
+  for (const QuarterCheckpoint& slot : slots) {
+    if (slot.result.has_value()) loaded.push_back(&*slot.result);
+  }
+  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
   return run;
 }
+
+void MultiQuarterPipeline::ProcessQuarter(const faers::QuarterDataset& dataset,
+                                          QuarterCheckpoint* slot) const {
+  QuarterOutcome& outcome = slot->outcome;
+  outcome.label = dataset.Label();
+  auto process = [&]() -> maras::StatusOr<faers::PreprocessResult> {
+    if (options_.validate) {
+      faers::ValidationReport validation =
+          faers::ValidateDataset(dataset, options_.validation);
+      MARAS_RETURN_IF_ERROR(faers::EnforceValidation(
+          validation, options_.ingest, &outcome.ingest));
+    }
+    faers::Preprocessor preprocessor(options_.preprocess);
+    if (options_.remove_duplicates) {
+      faers::QuarterDataset deduped = faers::RemoveDuplicateCases(
+          dataset, options_.ingest, &outcome.ingest);
+      return preprocessor.Process(deduped, &outcome.ingest);
+    }
+    return preprocessor.Process(dataset, &outcome.ingest);
+  };
+  maras::StatusOr<faers::PreprocessResult> result = process();
+  outcome.loaded = result.ok();
+  if (result.ok()) {
+    slot->result = *std::move(result);
+  } else {
+    outcome.status = result.status();
+  }
+}
+
+namespace {
+
+// Quarter fan-out: `load(i, &slots[i])` runs as one pool task per quarter,
+// each writing only its own slot, so the in-order reduce afterwards matches
+// the serial run. The run context is polled before each quarter is handed
+// out, so a governance trip stops scheduling the remaining ones.
+template <typename LoadFn>
+maras::Status LoadQuarters(const MultiQuarterOptions& options,
+                           std::vector<QuarterCheckpoint>* slots,
+                           LoadFn&& load) {
+  const maras::RunContext ungoverned;
+  const maras::RunContext& ctx =
+      options.context != nullptr ? *options.context : ungoverned;
+  return maras::WithContext(
+      maras::TryParallelFor(options.num_threads, slots->size(), ctx,
+                            [&](size_t i) -> maras::Status {
+                              load(i, &(*slots)[i]);
+                              return maras::Status::OK();
+                            }),
+      "multi-quarter ingest");
+}
+
+}  // namespace
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::RunFromDirs(
     const std::vector<QuarterSource>& sources) const {
   if (sources.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  return RunPipeline(
-      options_, sources,
-      [](const QuarterSource& source) { return source.Label(); },
-      [this](const QuarterSource& source, QuarterOutcome* outcome)
-          -> maras::StatusOr<faers::PreprocessResult> {
-        MARAS_ASSIGN_OR_RETURN(
-            faers::QuarterDataset dataset,
+  std::vector<QuarterCheckpoint> slots(sources.size());
+  MARAS_RETURN_IF_ERROR(LoadQuarters(
+      options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
+        const QuarterSource& source = sources[i];
+        maras::StatusOr<faers::QuarterDataset> dataset =
             faers::ReadAsciiQuarterFromDir(source.directory, source.year,
                                            source.quarter, options_.ingest,
-                                           &outcome->ingest));
-        return ProcessQuarter(dataset, outcome);
-      });
+                                           &slot->outcome.ingest);
+        if (dataset.ok()) {
+          ProcessQuarter(*dataset, slot);
+        } else {
+          slot->outcome.label = source.Label();
+          slot->outcome.status = dataset.status();
+        }
+      }));
+  return ReduceQuarters(std::move(slots), options_.ingest.policy);
 }
 
 maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
@@ -236,52 +232,13 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
   if (quarters.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  return RunPipeline(
-      options_, quarters,
-      [](const faers::QuarterDataset& dataset) { return dataset.Label(); },
-      [this](const faers::QuarterDataset& dataset, QuarterOutcome* outcome) {
-        return ProcessQuarter(dataset, outcome);
-      });
+  std::vector<QuarterCheckpoint> slots(quarters.size());
+  MARAS_RETURN_IF_ERROR(
+      LoadQuarters(options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
+        ProcessQuarter(quarters[i], slot);
+      }));
+  return ReduceQuarters(std::move(slots), options_.ingest.policy);
 }
-
-namespace {
-
-// Crash-injection point: fires after `stage` (and its checkpoint write)
-// completed. Returning false simulates a process kill at that boundary.
-maras::Status FireStageHook(const MultiQuarterOptions& options,
-                            const std::string& stage) {
-  if (options.stage_hook && !options.stage_hook(stage)) {
-    return maras::Status::Cancelled("injected crash at stage " + stage);
-  }
-  return maras::Status::OK();
-}
-
-// Attempts to replay `stage` from a checkpoint; decode(payload) must return
-// true on success. NotFound is silent (nothing written yet); a corrupt
-// snapshot adds a recompute note so a degraded resume is visible.
-template <typename DecodeFn>
-bool TryResumeStage(const MultiQuarterOptions& options,
-                    const std::string& stage, DecodeFn&& decode,
-                    std::vector<std::string>* notes) {
-  if (options.checkpoint_dir.empty() || !options.resume) return false;
-  maras::StatusOr<std::string> payload =
-      ReadCheckpoint(options.checkpoint_dir, stage);
-  if (payload.ok()) {
-    maras::Status decoded = decode(*payload);
-    if (decoded.ok()) return true;
-    notes->push_back("checkpoint for stage '" + stage +
-                     "' rejected: " + decoded.ToString() + "; recomputing");
-    return false;
-  }
-  if (!payload.status().IsNotFound()) {
-    notes->push_back("checkpoint for stage '" + stage +
-                     "' rejected: " + payload.status().ToString() +
-                     "; recomputing");
-  }
-  return false;
-}
-
-}  // namespace
 
 maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
     const std::vector<faers::QuarterDataset>& quarters,
@@ -289,21 +246,15 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
   if (quarters.empty()) {
     return maras::Status::InvalidArgument("no quarters to ingest");
   }
-  const bool strict = options_.ingest.policy == faers::IngestPolicy::kStrict;
-  const bool checkpointing = !options_.checkpoint_dir.empty();
-  const maras::RunContext ungoverned;
-  const maras::RunContext& ctx =
-      options_.context != nullptr ? *options_.context : ungoverned;
   SurveillanceAnalysis out;
 
   // --- Stage 1: per-quarter ingest + preprocess, one snapshot each -------
   const size_t n = quarters.size();
   std::vector<QuarterCheckpoint> slots(n);
   std::vector<char> from_disk(n, 0);
-  std::vector<maras::Status> failures(n);
   for (size_t i = 0; i < n; ++i) {
     const std::string label = quarters[i].Label();
-    const bool resumed = TryResumeStage(
+    from_disk[i] = TryResumeStage(
         options_, "quarter-" + label,
         [&](const std::string& payload) -> maras::Status {
           MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint decoded,
@@ -316,173 +267,34 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
           return maras::Status::OK();
         },
         &out.notes);
-    if (resumed) {
-      from_disk[i] = 1;
-      ++out.stages_resumed;
-    }
+    if (from_disk[i]) ++out.stages_resumed;
   }
-  maras::Status fan_out = maras::TryParallelFor(
-      options_.num_threads, n, ctx, [&](size_t i) -> maras::Status {
-        if (from_disk[i]) return maras::Status::OK();
-        slots[i].outcome.label = quarters[i].Label();
-        maras::StatusOr<faers::PreprocessResult> result =
-            ProcessQuarter(quarters[i], &slots[i].outcome);
-        if (result.ok()) {
-          slots[i].outcome.loaded = true;
-          slots[i].result = *std::move(result);
-        } else {
-          failures[i] = result.status();
-          slots[i].outcome.error = result.status().ToString();
-        }
-        return maras::Status::OK();
+  MARAS_RETURN_IF_ERROR(
+      LoadQuarters(options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
+        if (!from_disk[i]) ProcessQuarter(quarters[i], slot);
+      }));
+  // The reduce snapshots each computed quarter in input order, so the
+  // checkpoint writes and crash hooks follow the serial run. The merge is
+  // cheap and purely derived from the per-quarter snapshots, so it is
+  // recomputed rather than checkpointed.
+  MARAS_ASSIGN_OR_RETURN(
+      out.run,
+      ReduceQuarters(std::move(slots), options_.ingest.policy,
+                     [&](size_t i, const QuarterCheckpoint& slot) {
+                       if (from_disk[i]) return maras::Status::OK();
+                       return CommitStage(
+                           options_, "quarter-" + slot.outcome.label,
+                           [&] { return EncodeQuarterCheckpoint(slot); });
+                     }));
+
+  // --- Stages 2-4: closed, rules, lattice + ranked -----------------------
+  return RunAnalysisTail(
+      std::move(out), options_, analyzer, method,
+      [&](const mining::TransactionDatabase& db) {
+        mining::MiningOptions mining_options = analyzer.mining;
+        mining_options.context = options_.context;
+        return MineWithDegradation(db, mining_options, analyzer.degradation);
       });
-  if (!fan_out.ok()) {
-    return maras::WithContext(fan_out, "multi-quarter ingest");
-  }
-  // Serial in-order reduce: checkpoint writes, crash hooks, accounting and
-  // strict-mode error choice all follow input order, exactly like the
-  // serial run.
-  MultiQuarterRun run;
-  for (size_t i = 0; i < n; ++i) {
-    QuarterCheckpoint& quarter = slots[i];
-    const std::string stage = "quarter-" + quarter.outcome.label;
-    if (strict && !quarter.outcome.loaded) {
-      if (!failures[i].ok()) {
-        return maras::WithContext(failures[i],
-                                  "quarter " + quarter.outcome.label);
-      }
-      return maras::WithContext(
-          maras::Status::Corruption(quarter.outcome.error),
-          "quarter " + quarter.outcome.label);
-    }
-    if (!from_disk[i]) {
-      if (checkpointing) {
-        MARAS_RETURN_IF_ERROR(WriteCheckpoint(
-            options_.checkpoint_dir, stage, EncodeQuarterCheckpoint(quarter)));
-      }
-      MARAS_RETURN_IF_ERROR(FireStageHook(options_, stage));
-    }
-    if (quarter.outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " +
-                                    quarter.outcome.label + ": " +
-                                    quarter.outcome.error);
-    }
-    run.ingest.Merge(quarter.outcome.ingest);
-    run.outcomes.push_back(quarter.outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(n) +
-                                     " quarters failed ingestion");
-  }
-  // The merge is cheap and purely derived from the per-quarter snapshots,
-  // so it is recomputed rather than checkpointed.
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  const mining::ItemDictionary& items = run.merged.items;
-  const mining::TransactionDatabase& db = run.merged.transactions;
-
-  // --- Stage 2: closed-itemset mining ("closed") -------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  ClosedCheckpoint closed_stage;
-  bool closed_resumed = TryResumeStage(
-      options_, "closed",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(closed_stage, DecodeClosedCheckpoint(payload));
-        return maras::Status::OK();
-      },
-      &out.notes);
-  if (closed_resumed) {
-    ++out.stages_resumed;
-  } else {
-    mining::MiningOptions mining_options = analyzer.mining;
-    mining_options.context = options_.context;
-    MARAS_ASSIGN_OR_RETURN(
-        GovernedMineResult mined,
-        MineWithDegradation(db, mining_options, analyzer.degradation));
-    MARAS_ASSIGN_OR_RETURN(
-        closed_stage, BuildClosedStage(std::move(mined), items, analyzer,
-                                       ctx));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(
-          options_.checkpoint_dir, "closed",
-          EncodeClosedCheckpoint(closed_stage)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "closed"));
-  }
-
-  // --- Stage 3: target rule generation ("rules") -------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<DrugAdrRule> rules;
-  bool rules_resumed = TryResumeStage(
-      options_, "rules",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(rules, DecodeRules(payload));
-        return maras::Status::OK();
-      },
-      &out.notes);
-  if (rules_resumed) {
-    ++out.stages_resumed;
-  } else {
-    MARAS_ASSIGN_OR_RETURN(
-        rules,
-        BuildRulesStage(closed_stage.closed, items, db, analyzer, ctx));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(options_.checkpoint_dir, "rules",
-                                            EncodeRules(rules)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "rules"));
-  }
-
-  // --- Stage 4: MCAC construction + ranking ("ranked") -------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<RankedMcac> ranked;
-  bool ranked_resumed = TryResumeStage(
-      options_, "ranked",
-      [&](const std::string& payload) -> maras::Status {
-        MARAS_ASSIGN_OR_RETURN(ranked, DecodeRankedMcacs(payload));
-        return maras::Status::OK();
-      },
-      &out.notes);
-  if (ranked_resumed) {
-    ++out.stages_resumed;
-  } else {
-    // The lattice is rebuilt (never checkpointed): it is a pure function of
-    // the closed family, cheaper to reconstruct than to persist, and a
-    // resumed "ranked" stage skips it entirely.
-    mining::ConceptLattice lattice_storage;
-    const mining::ConceptLattice* lattice = nullptr;
-    if (LatticeMcacEligible(analyzer)) {
-      MARAS_ASSIGN_OR_RETURN(
-          lattice_storage,
-          BuildLatticeStage(closed_stage.closed, analyzer, ctx));
-      lattice = &lattice_storage;
-    }
-    MARAS_ASSIGN_OR_RETURN(
-        ranked,
-        BuildRankedStage(rules, items, db, method, analyzer, ctx, lattice));
-    if (checkpointing) {
-      MARAS_RETURN_IF_ERROR(WriteCheckpoint(options_.checkpoint_dir, "ranked",
-                                            EncodeRankedMcacs(ranked)));
-    }
-    MARAS_RETURN_IF_ERROR(FireStageHook(options_, "ranked"));
-  }
-
-  out.run = std::move(run);
-  out.closed = std::move(closed_stage.closed);
-  out.rules = std::move(rules);
-  out.ranked = std::move(ranked);
-  out.stats = closed_stage.stats;
-  out.stats.mcac_count = out.ranked.size();
-  out.min_support_used = static_cast<size_t>(closed_stage.min_support_used);
-  out.truncated = closed_stage.truncated;
-  out.notes.insert(out.notes.end(), closed_stage.notes.begin(),
-                   closed_stage.notes.end());
-  return out;
 }
 
 TrendVerdict ClassifyTrend(const std::vector<QuarterlySignalTrend>& trend,

@@ -2,6 +2,7 @@
 #define MARAS_CORE_MULTI_QUARTER_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,8 +124,16 @@ struct MultiQuarterOptions {
 struct QuarterOutcome {
   std::string label;
   bool loaded = false;
-  std::string error;            // why the quarter was skipped, empty if loaded
+  maras::Status status;         // why the quarter was skipped, OK if loaded
   faers::IngestReport ingest;   // this quarter's row-level accounting
+};
+
+// One quarter's slot in the run: its outcome plus the preprocessed corpus
+// when it loaded. Also the payload of the per-quarter checkpoint, which is
+// how a shard worker hands its quarter to the supervisor.
+struct QuarterCheckpoint {
+  QuarterOutcome outcome;
+  std::optional<faers::PreprocessResult> result;
 };
 
 struct MultiQuarterRun {
@@ -136,6 +145,19 @@ struct MultiQuarterRun {
   faers::IngestReport ingest;
   size_t quarters_loaded = 0;
 };
+
+// The quarter reduce every execution mode shares, over the slots in input
+// order: under kStrict the first failed quarter fails the run, as its
+// status with the quarter's label as context; otherwise each failed quarter
+// adds a "skipping quarter" warning. Accounting is merged, loaded quarters
+// are counted, and the survivors are pooled with MergeQuarters; the run
+// fails when no quarter loaded. `on_quarter`, when set, runs for each slot
+// that passed the policy check, before its accounting is merged — the
+// checkpointed pipeline snapshots the quarter there.
+maras::StatusOr<MultiQuarterRun> ReduceQuarters(
+    std::vector<QuarterCheckpoint> slots, faers::IngestPolicy policy,
+    const std::function<maras::Status(size_t, const QuarterCheckpoint&)>&
+        on_quarter = nullptr);
 
 // The full surveillance product of a checkpointed run: the pooled corpus
 // plus every analysis stage's output. Field order mirrors stage order.
@@ -172,13 +194,14 @@ class MultiQuarterPipeline {
   maras::StatusOr<MultiQuarterRun> Run(
       const std::vector<faers::QuarterDataset>& quarters) const;
 
-  // End-to-end checkpointed surveillance: ingest + merge, then mine closed
-  // itemsets (with the analyzer's degradation ladder when governed),
-  // generate target rules, build and rank MCACs. With checkpoint_dir set,
-  // each stage — "quarter-<label>", "closed", "rules", "ranked" — is
-  // snapshotted after it completes; with resume additionally set, completed
-  // stages are replayed from disk. The result is byte-identical to an
-  // uninterrupted run at any thread count.
+  // End-to-end checkpointed surveillance: ingest + merge (ReduceQuarters),
+  // then the shared analysis tail (RunAnalysisTail, core/analysis_stages.h)
+  // — mine closed itemsets (with the analyzer's degradation ladder when
+  // governed), generate target rules, build and rank MCACs. With
+  // checkpoint_dir set, each stage — "quarter-<label>", "closed", "rules",
+  // "ranked" — is snapshotted after it completes; with resume additionally
+  // set, completed stages are replayed from disk. The result is
+  // byte-identical to an uninterrupted run at any thread count.
   maras::StatusOr<SurveillanceAnalysis> RunAnalyzed(
       const std::vector<faers::QuarterDataset>& quarters,
       const AnalyzerOptions& analyzer,
@@ -186,12 +209,14 @@ class MultiQuarterPipeline {
 
   const MultiQuarterOptions& options() const { return options_; }
 
-  // Validation + dedup + preprocess for one readable quarter. Public so a
-  // shard worker process (core/shard_supervisor.h) can run exactly this
-  // code on its assigned quarter — byte-identity across execution modes
-  // depends on both paths sharing one implementation.
-  maras::StatusOr<faers::PreprocessResult> ProcessQuarter(
-      const faers::QuarterDataset& dataset, QuarterOutcome* outcome) const;
+  // Validation + dedup + preprocess for one readable quarter, recorded in
+  // `slot`: the label, the accounting (appended to what is already there),
+  // and either the preprocessed corpus or the failure. Public so a shard
+  // worker process (core/shard_supervisor.h) can run exactly this code on
+  // its assigned quarter — byte-identity across execution modes depends on
+  // both paths sharing one implementation.
+  void ProcessQuarter(const faers::QuarterDataset& dataset,
+                      QuarterCheckpoint* slot) const;
 
  private:
   MultiQuarterOptions options_;

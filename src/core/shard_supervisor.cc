@@ -62,15 +62,6 @@ void MaybeChaos(const ShardWorkerChaos& chaos, const char* point) {
   }
 }
 
-// The quarantine escalation notch — same formula as the PR-3 degradation
-// ladder in MineWithDegradation, so a quarantined mine shard degrades
-// exactly one rung.
-size_t EscalateSupport(size_t min_support, double factor) {
-  return std::max(min_support + 1,
-                  static_cast<size_t>(static_cast<double>(min_support) *
-                                      factor));
-}
-
 maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   if (config.spec.index >= config.quarters->size()) {
     return maras::Status::InvalidArgument(
@@ -94,20 +85,11 @@ maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
       return maras::Status::OK();
     }
   }
+  // A quarter that fails ingestion is a *recorded* outcome, not a worker
+  // failure: the supervisor's reduce applies the ingest policy (strict
+  // aborts, permissive warns), mirroring the single-process run.
   QuarterCheckpoint quarter;
-  quarter.outcome.label = label;
-  MultiQuarterPipeline pipeline(config.pipeline);
-  maras::StatusOr<faers::PreprocessResult> result =
-      pipeline.ProcessQuarter(dataset, &quarter.outcome);
-  if (result.ok()) {
-    quarter.outcome.loaded = true;
-    quarter.result = *std::move(result);
-  } else {
-    // A quarter that fails ingestion is a *recorded* outcome, not a worker
-    // failure: the supervisor's reduce applies the ingest policy (strict
-    // aborts, permissive warns), mirroring the single-process run.
-    quarter.outcome.error = result.status().ToString();
-  }
+  MultiQuarterPipeline(config.pipeline).ProcessQuarter(dataset, &quarter);
   WorkerSay("processed " + stage);
   MaybeChaos(config.chaos, "work");
   MARAS_RETURN_IF_ERROR(WriteCheckpoint(config.checkpoint_dir, stage,
@@ -139,25 +121,19 @@ maras::Status RunMineShard(const ShardWorkerConfig& config) {
   // Reconstruct the merged corpus from the quarter checkpoints, in input
   // order — the decode is bit-exact and MergeQuarters is deterministic, so
   // every mine worker (and the supervisor) sees the same database.
-  std::vector<faers::PreprocessResult> loaded;
+  std::vector<QuarterCheckpoint> slots;
   for (const faers::QuarterDataset& dataset : *config.quarters) {
     MARAS_ASSIGN_OR_RETURN(
         std::string payload,
         ReadCheckpoint(config.checkpoint_dir, "quarter-" + dataset.Label()));
-    MARAS_ASSIGN_OR_RETURN(QuarterCheckpoint quarter,
+    MARAS_ASSIGN_OR_RETURN(slots.emplace_back(),
                            DecodeQuarterCheckpoint(payload));
-    if (quarter.result.has_value()) {
-      loaded.push_back(*std::move(quarter.result));
-    }
   }
-  std::vector<const faers::PreprocessResult*> pointers;
-  pointers.reserve(loaded.size());
-  for (const faers::PreprocessResult& quarter : loaded) {
-    pointers.push_back(&quarter);
-  }
-  MARAS_ASSIGN_OR_RETURN(faers::PreprocessResult merged,
-                         MergeQuarters(pointers));
-  WorkerSay("merged " + std::to_string(loaded.size()) + " quarters");
+  MARAS_ASSIGN_OR_RETURN(
+      MultiQuarterRun run,
+      ReduceQuarters(std::move(slots), config.pipeline.ingest.policy));
+  const faers::PreprocessResult& merged = run.merged;
+  WorkerSay("merged " + std::to_string(run.quarters_loaded) + " quarters");
   mining::MiningOptions mining_options = base;
   mining_options.shard_index = k;
   mining_options.shard_count = n;
@@ -178,16 +154,6 @@ maras::Status RunMineShard(const ShardWorkerConfig& config) {
                                         EncodeMineShardCheckpoint(shard)));
   MaybeChaos(config.chaos, "publish");
   WorkerSay("published " + stage);
-  return maras::Status::OK();
-}
-
-// Crash-injection hook shared with the single-process pipeline: fires after
-// a supervisor-side stage (and its checkpoint write) completed.
-maras::Status FireStageHook(const MultiQuarterOptions& options,
-                            const std::string& stage) {
-  if (options.stage_hook && !options.stage_hook(stage)) {
-    return maras::Status::Cancelled("injected crash at stage " + stage);
-  }
   return maras::Status::OK();
 }
 
@@ -445,7 +411,6 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
     return maras::Status::InvalidArgument(
         "workers and max_attempts must be >= 1");
   }
-  const bool strict = pipeline.ingest.policy == faers::IngestPolicy::kStrict;
   const std::string& dir = pipeline.checkpoint_dir;
   const maras::RunContext ungoverned;
   const maras::RunContext& ctx =
@@ -477,15 +442,7 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   };
   auto fallback_quarter = [&](const ShardSpec& spec) -> maras::Status {
     QuarterCheckpoint quarter;
-    quarter.outcome.label = spec.label;
-    maras::StatusOr<faers::PreprocessResult> result =
-        in_process.ProcessQuarter(quarters[spec.index], &quarter.outcome);
-    if (result.ok()) {
-      quarter.outcome.loaded = true;
-      quarter.result = *std::move(result);
-    } else {
-      quarter.outcome.error = result.status().ToString();
-    }
+    in_process.ProcessQuarter(quarters[spec.index], &quarter);
     MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
                                           EncodeQuarterCheckpoint(quarter)));
     slots[spec.index] = std::move(quarter);
@@ -493,161 +450,95 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   };
   MARAS_RETURN_IF_ERROR(RunPhase(quarter_specs, validate_quarter,
                                  fallback_quarter, ctx, report));
+  MARAS_ASSIGN_OR_RETURN(
+      out.run, ReduceQuarters(std::move(slots), pipeline.ingest.policy));
 
-  // Serial in-order reduce, mirroring the single-process RunAnalyzed.
-  MultiQuarterRun run;
-  for (size_t i = 0; i < n; ++i) {
-    const QuarterCheckpoint& quarter = slots[i];
-    if (strict && !quarter.outcome.loaded) {
-      return maras::WithContext(
-          maras::Status::Corruption(quarter.outcome.error),
-          "quarter " + quarter.outcome.label);
+  // --- Phase B: item-range mine shards, the mine step of the tail ---------
+  auto mine = [&](const mining::TransactionDatabase& db)
+      -> maras::StatusOr<GovernedMineResult> {
+    const size_t shard_count = options_.workers;
+    std::vector<MineShardCheckpoint> mine_slots(shard_count);
+    std::vector<char> mine_degraded(shard_count, 0);
+    std::vector<ShardSpec> mine_specs(shard_count);
+    for (size_t k = 0; k < shard_count; ++k) {
+      mine_specs[k] = ShardSpec{ShardSpec::Kind::kMine, k, shard_count, ""};
     }
-    if (quarter.outcome.loaded) {
-      ++run.quarters_loaded;
-    } else {
-      run.ingest.warnings.push_back("skipping quarter " +
-                                    quarter.outcome.label + ": " +
-                                    quarter.outcome.error);
-    }
-    run.ingest.Merge(quarter.outcome.ingest);
-    run.outcomes.push_back(quarter.outcome);
-  }
-  if (run.quarters_loaded == 0) {
-    return maras::Status::Corruption("all " + std::to_string(n) +
-                                     " quarters failed ingestion");
-  }
-  std::vector<const faers::PreprocessResult*> loaded;
-  for (const QuarterCheckpoint& quarter : slots) {
-    if (quarter.result.has_value()) loaded.push_back(&*quarter.result);
-  }
-  MARAS_ASSIGN_OR_RETURN(run.merged, MergeQuarters(loaded));
-  const mining::ItemDictionary& items = run.merged.items;
-  const mining::TransactionDatabase& db = run.merged.transactions;
-
-  // --- Phase B: item-range mine shards ------------------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  const size_t shard_count = options_.workers;
-  std::vector<MineShardCheckpoint> mine_slots(shard_count);
-  std::vector<char> mine_degraded(shard_count, 0);
-  std::vector<ShardSpec> mine_specs(shard_count);
-  for (size_t k = 0; k < shard_count; ++k) {
-    mine_specs[k] = ShardSpec{ShardSpec::Kind::kMine, k, shard_count, ""};
-  }
-  auto validate_mine = [&](const ShardSpec& spec) -> maras::Status {
-    if (mine_degraded[spec.index]) {
-      // A quarantined shard's degraded artifact is already in its slot;
-      // it must not be re-validated against the base parameters.
+    auto validate_mine = [&](const ShardSpec& spec) -> maras::Status {
+      if (mine_degraded[spec.index]) {
+        // A quarantined shard's degraded artifact is already in its slot;
+        // it must not be re-validated against the base parameters.
+        return maras::Status::OK();
+      }
+      MARAS_ASSIGN_OR_RETURN(std::string payload,
+                             ReadCheckpoint(dir, spec.Stage()));
+      MARAS_ASSIGN_OR_RETURN(MineShardCheckpoint decoded,
+                             DecodeMineShardCheckpoint(payload));
+      if (decoded.shard_index != spec.index ||
+          decoded.shard_count != spec.count ||
+          decoded.min_support != analyzer.mining.min_support ||
+          decoded.max_itemset_size != analyzer.mining.max_itemset_size) {
+        return maras::Status::Corruption(
+            "mine shard snapshot parameters do not match the plan");
+      }
+      mine_slots[spec.index] = std::move(decoded);
       return maras::Status::OK();
+    };
+    auto fallback_mine = [&](const ShardSpec& spec) -> maras::Status {
+      // Graceful degradation: mine this slice in-process one degradation
+      // notch up — cheaper, bounded — and tag the run truncated rather
+      // than failing it.
+      mining::MiningOptions mining_options = analyzer.mining;
+      mining_options.shard_index = spec.index;
+      mining_options.shard_count = spec.count;
+      mining_options.context = pipeline.context;
+      mining_options.min_support = EscalatedSupport(
+          analyzer.mining.min_support, analyzer.degradation);
+      mining::FpGrowth miner(mining_options);
+      MARAS_ASSIGN_OR_RETURN(mining::FrequentItemsetResult frequent,
+                             miner.Mine(db));
+      MineShardCheckpoint shard;
+      shard.shard_index = spec.index;
+      shard.shard_count = spec.count;
+      shard.min_support = mining_options.min_support;
+      shard.max_itemset_size = mining_options.max_itemset_size;
+      shard.frequent = std::move(frequent);
+      MARAS_RETURN_IF_ERROR(WriteCheckpoint(
+          dir, spec.Stage(), EncodeMineShardCheckpoint(shard)));
+      mine_slots[spec.index] = std::move(shard);
+      mine_degraded[spec.index] = 1;
+      return maras::Status::OK();
+    };
+    MARAS_RETURN_IF_ERROR(
+        RunPhase(mine_specs, validate_mine, fallback_mine, ctx, report));
+
+    // Merge the partial families; the canonical sort makes the union
+    // independent of shard count and arrival order.
+    GovernedMineResult mined;
+    mined.min_support_used = analyzer.mining.min_support;
+    for (size_t k = 0; k < shard_count; ++k) {
+      mined.min_support_used =
+          std::max(mined.min_support_used,
+                   static_cast<size_t>(mine_slots[k].min_support));
+      if (mine_degraded[k]) {
+        mined.truncated = true;
+        mined.notes.push_back(
+            "mine shard " + std::to_string(k) + "-of-" +
+            std::to_string(shard_count) +
+            " quarantined; its slice was mined at min_support=" +
+            std::to_string(mine_slots[k].min_support) +
+            " (result will be truncated)");
+      }
+      mined.frequent.Absorb(std::move(mine_slots[k].frequent));
     }
-    MARAS_ASSIGN_OR_RETURN(std::string payload,
-                           ReadCheckpoint(dir, spec.Stage()));
-    MARAS_ASSIGN_OR_RETURN(MineShardCheckpoint decoded,
-                           DecodeMineShardCheckpoint(payload));
-    if (decoded.shard_index != spec.index ||
-        decoded.shard_count != spec.count ||
-        decoded.min_support != analyzer.mining.min_support ||
-        decoded.max_itemset_size != analyzer.mining.max_itemset_size) {
-      return maras::Status::Corruption(
-          "mine shard snapshot parameters do not match the plan");
-    }
-    mine_slots[spec.index] = std::move(decoded);
-    return maras::Status::OK();
+    mined.frequent.SortCanonically();
+    return mined;
   };
-  auto fallback_mine = [&](const ShardSpec& spec) -> maras::Status {
-    // Graceful degradation: mine this slice in-process one degradation
-    // notch up — cheaper, bounded — and tag the run truncated rather than
-    // failing it.
-    mining::MiningOptions mining_options = analyzer.mining;
-    mining_options.shard_index = spec.index;
-    mining_options.shard_count = spec.count;
-    mining_options.context = pipeline.context;
-    mining_options.min_support = EscalateSupport(
-        analyzer.mining.min_support, analyzer.degradation.support_factor);
-    mining::FpGrowth miner(mining_options);
-    MARAS_ASSIGN_OR_RETURN(mining::FrequentItemsetResult frequent,
-                           miner.Mine(db));
-    MineShardCheckpoint shard;
-    shard.shard_index = spec.index;
-    shard.shard_count = spec.count;
-    shard.min_support = mining_options.min_support;
-    shard.max_itemset_size = mining_options.max_itemset_size;
-    shard.frequent = std::move(frequent);
-    MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
-                                          EncodeMineShardCheckpoint(shard)));
-    mine_slots[spec.index] = std::move(shard);
-    mine_degraded[spec.index] = 1;
-    return maras::Status::OK();
-  };
-  MARAS_RETURN_IF_ERROR(
-      RunPhase(mine_specs, validate_mine, fallback_mine, ctx, report));
 
-  // Merge the partial families; the canonical sort makes the union
-  // independent of shard count and arrival order.
-  GovernedMineResult mined;
-  mined.min_support_used = analyzer.mining.min_support;
-  for (size_t k = 0; k < shard_count; ++k) {
-    mined.min_support_used = std::max(
-        mined.min_support_used,
-        static_cast<size_t>(mine_slots[k].min_support));
-    if (mine_degraded[k]) {
-      mined.truncated = true;
-      mined.notes.push_back(
-          "mine shard " + std::to_string(k) + "-of-" +
-          std::to_string(shard_count) +
-          " quarantined; its slice was mined at min_support=" +
-          std::to_string(mine_slots[k].min_support) +
-          " (result will be truncated)");
-    }
-    mined.frequent.Absorb(std::move(mine_slots[k].frequent));
-  }
-  mined.frequent.SortCanonically();
-
-  // --- Analysis tail: shared stage functions, checkpointed like the
-  // single-process pipeline --------------------------------------------
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  ClosedCheckpoint closed_stage;
-  MARAS_ASSIGN_OR_RETURN(
-      closed_stage, BuildClosedStage(std::move(mined), items, analyzer, ctx));
-  MARAS_RETURN_IF_ERROR(
-      WriteCheckpoint(dir, "closed", EncodeClosedCheckpoint(closed_stage)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "closed"));
-
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<DrugAdrRule> rules;
-  MARAS_ASSIGN_OR_RETURN(
-      rules, BuildRulesStage(closed_stage.closed, items, db, analyzer, ctx));
-  MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, "rules", EncodeRules(rules)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "rules"));
-
-  MARAS_RETURN_IF_ERROR(ctx.Check());
-  std::vector<RankedMcac> ranked;
-  mining::ConceptLattice lattice_storage;
-  const mining::ConceptLattice* lattice = nullptr;
-  if (LatticeMcacEligible(analyzer)) {
-    MARAS_ASSIGN_OR_RETURN(
-        lattice_storage,
-        BuildLatticeStage(closed_stage.closed, analyzer, ctx));
-    lattice = &lattice_storage;
-  }
-  MARAS_ASSIGN_OR_RETURN(
-      ranked,
-      BuildRankedStage(rules, items, db, method, analyzer, ctx, lattice));
-  MARAS_RETURN_IF_ERROR(
-      WriteCheckpoint(dir, "ranked", EncodeRankedMcacs(ranked)));
-  MARAS_RETURN_IF_ERROR(FireStageHook(pipeline, "ranked"));
-
-  out.run = std::move(run);
-  out.closed = std::move(closed_stage.closed);
-  out.rules = std::move(rules);
-  out.ranked = std::move(ranked);
-  out.stats = closed_stage.stats;
-  out.stats.mcac_count = out.ranked.size();
-  out.min_support_used = static_cast<size_t>(closed_stage.min_support_used);
-  out.truncated = closed_stage.truncated;
-  out.notes.insert(out.notes.end(), closed_stage.notes.begin(),
-                   closed_stage.notes.end());
-  return out;
+  // --- Analysis tail: the single-process stage sequence, except that the
+  // supervisor always snapshots its tail stages and never replays them ----
+  MultiQuarterOptions tail = pipeline;
+  tail.resume = false;
+  return RunAnalysisTail(std::move(out), tail, analyzer, method, mine);
 }
 
 }  // namespace maras::core

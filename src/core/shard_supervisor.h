@@ -31,8 +31,8 @@ namespace maras::core {
 //   * A worker that dies *after* publishing a valid checkpoint still
 //     counts as success: validation inspects the artifact, not the exit.
 //   * After max_attempts failed attempts a shard is quarantined: the
-//     supervisor computes it in-process — mine shards at an escalated
-//     min_support via the PR-3 degradation notch, tagged truncated — so an
+//     supervisor computes it in-process — mine shards one degradation
+//     notch up (EscalatedSupport), tagged truncated — so an
 //     exhausted retry budget degrades the run instead of failing it.
 //   * Any hard supervisor-side error (checkpoint I/O, cancellation,
 //     deadline) wins immediately: every live worker is killed and the
@@ -40,12 +40,13 @@ namespace maras::core {
 //     RunContext in MultiQuarterOptions).
 //
 // Byte-identity: quarter workers run MultiQuarterPipeline::ProcessQuarter,
-// mine workers run FP-Growth restricted to their item-range slice
+// the supervisor pools their slots with the shared ReduceQuarters, mine
+// workers run FP-Growth restricted to their item-range slice
 // (MiningOptions::shard_index/shard_count), and the supervisor merges the
-// partial families under the canonical sort before running the shared
-// analysis stage functions (core/analysis_stages.h). A clean sharded run
-// therefore produces byte-for-byte the SurveillanceAnalysis of the
-// single-process RunAnalyzed, at any worker count.
+// partial families under the canonical sort as the mine step of the shared
+// RunAnalysisTail (core/analysis_stages.h). A clean sharded run therefore
+// produces byte-for-byte the SurveillanceAnalysis of the single-process
+// RunAnalyzed, at any worker count, and a failing one the same Status.
 // ---------------------------------------------------------------------------
 
 // One unit of work handed to a worker process.
@@ -139,7 +140,8 @@ class ShardSupervisor {
   // The sharded counterpart of MultiQuarterPipeline::RunAnalyzed: phase A
   // runs one worker per quarter, phase B runs `workers` item-range mine
   // workers over the merged corpus, then the analysis tail (closed sets,
-  // rules, ranked MCACs) runs in-process on the merged family. Requires
+  // rules, ranked MCACs) runs in-process on the merged family; its stage
+  // checkpoints are always written and never replayed. Requires
   // `pipeline.checkpoint_dir` — checkpoints are the only worker/supervisor
   // channel. Shards with valid existing checkpoints are reused, so a
   // killed supervisor run resumes where it stopped.

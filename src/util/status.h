@@ -80,6 +80,11 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string_view msg) {
     return Status(Code::kResourceExhausted, msg);
   }
+  // The inverse of code() + message(), for codecs that persist a Status.
+  // An OK code yields OK() whatever `msg` says.
+  static Status FromCode(Code code, std::string_view msg) {
+    return code == Code::kOk ? Status() : Status(code, msg);
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }

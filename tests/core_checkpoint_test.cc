@@ -249,16 +249,35 @@ TEST(CheckpointCodecTest, QuarterCheckpointRoundTripsSkippedQuarter) {
   QuarterCheckpoint quarter;
   quarter.outcome.label = "2052Q9";
   quarter.outcome.loaded = false;
-  quarter.outcome.error = "validation failed";
+  quarter.outcome.status =
+      maras::Status::FailedPrecondition("validation failed");
   quarter.outcome.ingest.warnings.push_back("skipping quarter 2052Q9");
   std::string encoded = EncodeQuarterCheckpoint(quarter);
   auto decoded = DecodeQuarterCheckpoint(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->outcome.label, "2052Q9");
   EXPECT_FALSE(decoded->outcome.loaded);
-  EXPECT_EQ(decoded->outcome.error, "validation failed");
+  EXPECT_EQ(decoded->outcome.status,
+            maras::Status::FailedPrecondition("validation failed"));
   EXPECT_FALSE(decoded->result.has_value());
   EXPECT_EQ(EncodeQuarterCheckpoint(*decoded), encoded);
+}
+
+TEST(CheckpointCodecTest, QuarterStatusMustAgreeWithOutcome) {
+  // A skipped quarter needs a failure status and a loaded one an OK status;
+  // a payload claiming otherwise is rejected, not replayed.
+  QuarterCheckpoint skipped_ok;
+  skipped_ok.outcome.label = "2052Q1";
+  EXPECT_TRUE(DecodeQuarterCheckpoint(EncodeQuarterCheckpoint(skipped_ok))
+                  .status()
+                  .IsCorruption());
+  QuarterCheckpoint loaded_failed;
+  loaded_failed.outcome.label = "2052Q2";
+  loaded_failed.outcome.loaded = true;
+  loaded_failed.outcome.status = maras::Status::IOError("missing");
+  EXPECT_TRUE(DecodeQuarterCheckpoint(EncodeQuarterCheckpoint(loaded_failed))
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(CheckpointCodecTest, TruncatedPayloadIsCorruption) {

@@ -31,8 +31,13 @@ std::string g_self_path;  // set by main() before any test runs
 
 // Small three-quarter corpus: big enough that the reference run produces
 // ranked MCACs (asserted, so identity checks cannot go vacuous), small
-// enough that a chaos test can afford dozens of worker attempts.
-std::vector<faers::QuarterDataset> MakeQuarters(uint64_t seed) {
+// enough that a chaos test can afford dozens of worker attempts. A
+// `bad_quarter` index gives that quarter's first report case version 0,
+// which strict validation rejects.
+constexpr size_t kNoBadQuarter = static_cast<size_t>(-1);
+
+std::vector<faers::QuarterDataset> MakeQuarters(
+    uint64_t seed, size_t bad_quarter = kNoBadQuarter) {
   std::vector<faers::QuarterDataset> quarters;
   for (int q = 1; q <= 3; ++q) {
     faers::GeneratorConfig config;
@@ -49,6 +54,9 @@ std::vector<faers::QuarterDataset> MakeQuarters(uint64_t seed) {
       std::abort();
     }
     quarters.push_back(*std::move(dataset));
+  }
+  if (bad_quarter < quarters.size()) {
+    quarters[bad_quarter].reports.front().case_version = 0;
   }
   return quarters;
 }
@@ -67,6 +75,7 @@ int RunWorkerMain(int argc, char** argv) {
   std::string shard;
   std::string dir;
   uint64_t seed = kCorpusSeed;
+  size_t bad_quarter = kNoBadQuarter;
   ShardWorkerChaos chaos;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
@@ -76,6 +85,9 @@ int RunWorkerMain(int argc, char** argv) {
       dir = std::string(arg.substr(13));
     } else if (arg.rfind("--worker-seed=", 0) == 0) {
       seed = std::strtoull(std::string(arg.substr(14)).c_str(), nullptr, 10);
+    } else if (arg.rfind("--worker-bad-quarter=", 0) == 0) {
+      bad_quarter = std::strtoull(std::string(arg.substr(21)).c_str(),
+                                  nullptr, 10);
     } else if (arg.rfind("--chaos-exit=", 0) == 0) {
       chaos.exit_at = std::string(arg.substr(13));
     } else if (arg.rfind("--chaos-hang=", 0) == 0) {
@@ -89,7 +101,7 @@ int RunWorkerMain(int argc, char** argv) {
                            : spec.status().ToString().c_str());
     return 2;
   }
-  std::vector<faers::QuarterDataset> quarters = MakeQuarters(seed);
+  std::vector<faers::QuarterDataset> quarters = MakeQuarters(seed, bad_quarter);
   ShardWorkerConfig config;
   config.spec = *spec;
   config.checkpoint_dir = dir;
@@ -295,6 +307,35 @@ TEST(ShardIdentityTest, RestartedSupervisorReusesEveryCheckpoint) {
   ExpectIdentical(Encode(*run2), ref.enc);
   EXPECT_EQ(second.attempts, 0u);
   EXPECT_TRUE(AnyNoteContains(second.notes, "reused existing checkpoint"));
+}
+
+TEST(ShardIdentityTest, StrictQuarterFailureMatchesSingleProcessStatus) {
+  // Under the default strict policy a quarter failing validation fails the
+  // run; the sharded run must report the very Status the single-process run
+  // does — same code, same message — though the failure crossed a process
+  // boundary inside a checkpoint.
+  const size_t bad = 1;  // 2061Q2
+  auto quarters = MakeQuarters(kCorpusSeed, bad);
+  auto single = MultiQuarterPipeline{MultiQuarterOptions{}}.RunAnalyzed(
+      quarters, TestAnalyzer());
+  ASSERT_FALSE(single.ok());
+  EXPECT_TRUE(single.status().IsFailedPrecondition())
+      << single.status().ToString();
+  EXPECT_NE(single.status().message().find("quarter 2061Q2"),
+            std::string::npos)
+      << single.status().ToString();
+
+  std::string dir = FreshDir("strict_parity");
+  ShardSupervisorOptions options = FastOptions(2);
+  options.worker_command = WorkerCommand(dir, kCorpusSeed);
+  options.worker_command.push_back("--worker-bad-quarter=" +
+                                   std::to_string(bad));
+  MultiQuarterOptions pipeline;
+  pipeline.checkpoint_dir = dir;
+  auto sharded = ShardSupervisor(std::move(options))
+                     .RunAnalyzed(quarters, pipeline, TestAnalyzer());
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.status().ToString(), single.status().ToString());
 }
 
 TEST(ShardIdentityTest, MissingCheckpointDirIsRejected) {

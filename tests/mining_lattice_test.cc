@@ -3,9 +3,9 @@
 // subset-inclusion order, the build must be byte-identical at any thread
 // count, and the greedy downward walk must land on closure(X) — the
 // exactness invariant the lattice-backed MCAC construction relies on.
-// The differential-oracle suite then proves the end-to-end claim: the
-// analyzer's output with the lattice path on is byte-identical to plain
-// enumeration, across seeds and thread counts.
+// The differential-oracle suite then proves the end-to-end claim: the MCAC
+// stage's output with the lattice is byte-identical to plain enumeration,
+// across seeds and thread counts.
 
 #include <gtest/gtest.h>
 
@@ -359,6 +359,37 @@ maras::test::MiniCorpus RandomCorpus(uint64_t seed) {
   return corpus;
 }
 
+// The analyzer's stage sequence with the MCAC stage run on the concept
+// lattice or, with `lattice_on` false, on plain enumeration; `*encoded` is
+// the ranked result's bytes.
+void RankedBytes(const maras::test::MiniCorpus& corpus,
+                 const core::AnalyzerOptions& options, bool lattice_on,
+                 std::string* encoded, size_t* mcac_count) {
+  const RunContext ctx;
+  auto mined = core::MineWithDegradation(corpus.db, options.mining,
+                                         options.degradation);
+  ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+  auto closed = core::BuildClosedStage(*std::move(mined), corpus.items,
+                                       options, ctx);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  auto rules = core::BuildRulesStage(closed->closed, corpus.items, corpus.db,
+                                     options, ctx);
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  ConceptLattice lattice;
+  if (lattice_on) {
+    auto built = core::BuildLatticeStage(closed->closed, options, ctx);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    lattice = *std::move(built);
+  }
+  auto mcacs = core::BuildMcacsStage(*rules, corpus.items, corpus.db, options,
+                                     ctx, lattice_on ? &lattice : nullptr);
+  ASSERT_TRUE(mcacs.ok()) << mcacs.status().ToString();
+  *mcac_count = mcacs->size();
+  *encoded = core::EncodeRankedMcacs(
+      core::RankMcacs(*mcacs, core::RankingMethod::kExclusivenessLift,
+                      core::ExclusivenessOptions{}));
+}
+
 class LatticeMcacDifferentialOracleTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -371,15 +402,12 @@ TEST_P(LatticeMcacDifferentialOracleTest,
       core::AnalyzerOptions options;
       options.mining.min_support = 2;
       options.mining.num_threads = threads;
-      options.lattice_mcac = lattice_on;
-      ASSERT_TRUE(core::LatticeMcacEligible(options) == lattice_on);
-      core::MarasAnalyzer analyzer(options);
-      auto result = analyzer.Analyze(corpus.items, corpus.db);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_GT(result->mcacs.size(), 0u);
-      const std::string encoded = core::EncodeRankedMcacs(core::RankMcacs(
-          result->mcacs, core::RankingMethod::kExclusivenessLift,
-          core::ExclusivenessOptions{}));
+      ASSERT_TRUE(core::LatticeMcacEligible(options));
+      std::string encoded;
+      size_t mcac_count = 0;
+      ASSERT_NO_FATAL_FAILURE(
+          RankedBytes(corpus, options, lattice_on, &encoded, &mcac_count));
+      ASSERT_GT(mcac_count, 0u);
       if (reference.empty()) {
         reference = encoded;
       } else {
@@ -399,8 +427,6 @@ TEST_P(LatticeMcacDifferentialOracleTest, CappedMineStaysEligibleViaVerify) {
   EXPECT_FALSE(core::LatticeMcacEligible(options));
   options.verify_closed_in_db = true;
   EXPECT_TRUE(core::LatticeMcacEligible(options));
-  options.lattice_mcac = false;
-  EXPECT_FALSE(core::LatticeMcacEligible(options));
 
   // And with the cap + verification, output still matches enumeration.
   maras::test::MiniCorpus corpus = RandomCorpus(GetParam() + 1);
@@ -409,13 +435,10 @@ TEST_P(LatticeMcacDifferentialOracleTest, CappedMineStaysEligibleViaVerify) {
     core::AnalyzerOptions run;
     run.mining.min_support = 2;
     run.mining.max_itemset_size = 5;
-    run.lattice_mcac = lattice_on;
-    core::MarasAnalyzer analyzer(run);
-    auto result = analyzer.Analyze(corpus.items, corpus.db);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    const std::string encoded = core::EncodeRankedMcacs(core::RankMcacs(
-        result->mcacs, core::RankingMethod::kExclusivenessLift,
-        core::ExclusivenessOptions{}));
+    std::string encoded;
+    size_t mcac_count = 0;
+    ASSERT_NO_FATAL_FAILURE(
+        RankedBytes(corpus, run, lattice_on, &encoded, &mcac_count));
     if (reference.empty()) {
       reference = encoded;
     } else {
