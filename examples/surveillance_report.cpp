@@ -8,7 +8,10 @@
 //       [--deadline-ms=N] [--memory-budget-mb=N]
 //       [--checkpoint-dir=DIR] [--resume] [--workers=N]
 //
-// Writes: report.md, analysis.json, trend_*.svg, top_glyph.svg
+// Writes: report.md, analysis.json, trend_*.svg, top_glyph.svg. The output
+// directory (and any missing parent) is created before the analysis runs;
+// if it cannot be created, or an artifact cannot be written, the Status is
+// printed and the exit code is 1.
 //
 // The governance flags run the analysis through the resource-governed,
 // checkpointed MultiQuarterPipeline: a deadline or memory budget stops a
@@ -25,7 +28,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "core/analyzer.h"
 #include "core/disproportionality.h"
@@ -48,6 +53,14 @@
 using namespace maras;
 
 namespace {
+
+// Reports a failed artifact write on stderr; true when `status` is OK.
+bool Written(const maras::Status& status, const std::string& path) {
+  if (status.ok()) return true;
+  std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+               status.ToString().c_str());
+  return false;
+}
 
 faers::GeneratorConfig QuarterConfig(int quarter, size_t reports,
                                      uint64_t seed) {
@@ -272,8 +285,10 @@ int RunGoverned(const std::string& argv0, const std::string& out_dir,
       exportable, analysis->run.merged.items,
       core::RankingMethod::kExclusivenessConfidence,
       core::ExclusivenessOptions{}, export_options);
-  MARAS_CHECK(
-      AtomicWriteStringToFile(out_dir + "/analysis.json", json_text).ok());
+  const std::string json_path = out_dir + "/analysis.json";
+  if (!Written(AtomicWriteStringToFile(json_path, json_text), json_path)) {
+    return 1;
+  }
   std::printf("wrote analysis.json to %s\n", out_dir.c_str());
   return 0;
 }
@@ -309,6 +324,14 @@ int main(int argc, char** argv) {
           : 20140101;
 
   if (!flags.shard.empty()) return RunWorker(reports, seed, flags);
+  // Create the output directory before hours of analysis, not after.
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(out_dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "cannot create output directory %s: %s\n",
+                 out_dir.c_str(), mkdir_error.message().c_str());
+    return 1;
+  }
   if (flags.governed()) {
     return RunGoverned(argv[0], out_dir, reports, seed, flags);
   }
@@ -362,7 +385,8 @@ int main(int argc, char** argv) {
   MARAS_CHECK(md.ok()) << md.status().ToString();
 
   // ---- artifacts ------------------------------------------------------
-  MARAS_CHECK(AtomicWriteStringToFile(out_dir + "/report.md", *md).ok());
+  const std::string md_path = out_dir + "/report.md";
+  if (!Written(AtomicWriteStringToFile(md_path, *md), md_path)) return 1;
 
   core::ExportOptions export_options;
   export_options.max_clusters = 50;
@@ -370,23 +394,29 @@ int main(int argc, char** argv) {
       *analysis, current.items,
       core::RankingMethod::kExclusivenessConfidence, scoring,
       export_options);
-  MARAS_CHECK(
-      AtomicWriteStringToFile(out_dir + "/analysis.json", json_text).ok());
+  const std::string json_path = out_dir + "/analysis.json";
+  if (!Written(AtomicWriteStringToFile(json_path, json_text), json_path)) {
+    return 1;
+  }
 
   viz::LineChartRenderer lines(viz::LineChartOptions{
       .y_min = 0.0, .y_max = 1.0, .y_label = "confidence"});
-  MARAS_CHECK(lines
-                  .Render(labels, all_series,
-                          "Watched combinations, 2014 trend")
-                  .WriteFile(out_dir + "/trend_watchlist.svg")
-                  .ok());
+  const std::string trend_path = out_dir + "/trend_watchlist.svg";
+  if (!Written(lines.Render(labels, all_series,
+                            "Watched combinations, 2014 trend")
+                   .WriteFile(trend_path),
+               trend_path)) {
+    return 1;
+  }
 
   if (!ranked.empty()) {
     viz::ContextualGlyphRenderer glyph;
     viz::GlyphSpec spec =
         viz::GlyphSpecFromMcac(ranked[0].mcac, current.items);
-    MARAS_CHECK(
-        glyph.RenderZoom(spec).WriteFile(out_dir + "/top_glyph.svg").ok());
+    const std::string glyph_path = out_dir + "/top_glyph.svg";
+    if (!Written(glyph.RenderZoom(spec).WriteFile(glyph_path), glyph_path)) {
+      return 1;
+    }
   }
 
   std::printf("wrote report.md, analysis.json, trend_watchlist.svg, "

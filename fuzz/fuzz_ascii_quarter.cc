@@ -3,16 +3,22 @@
 // and PR 1's corruption study showed how many ways they rot in transit.
 //
 // Input layout: the blob is split on 0x1F (unit separator, never valid in
-// the tables) into DEMO / DRUG / REAC file contents. Both the strict and
-// the quarantine read paths run; any Status outcome is acceptable, crashes
-// and sanitizer reports are not.
+// the tables) into DEMO / DRUG / REAC file contents. The harness is
+// differential: under every IngestPolicy the production reader must agree
+// with the table-based reference reader (tests/ingest_reference.h) on the
+// Status text, the parsed dataset and every IngestReport field. Any Status
+// outcome is acceptable; a disagreement, a crash or a sanitizer report is
+// not.
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 
 #include "faers/ascii_format.h"
 #include "faers/ingest.h"
 #include "fuzz/fuzz_target.h"
+#include "tests/ingest_reference.h"
 
 namespace {
 
@@ -34,6 +40,35 @@ maras::faers::AsciiQuarterFiles SplitInput(std::string_view blob) {
   return files;
 }
 
+// Everything one read produced, as comparable text.
+std::string Outcome(
+    const maras::StatusOr<maras::faers::QuarterDataset>& dataset,
+    const maras::faers::IngestReport& report) {
+  std::string out = dataset.status().ToString() + "\n";
+  if (dataset.ok()) out += maras::reference::DumpDataset(*dataset);
+  return out + maras::reference::DumpIngestReport(report);
+}
+
+void CheckAgainstReference(const maras::faers::AsciiQuarterFiles& files,
+                           const maras::faers::IngestOptions& options) {
+  maras::faers::IngestReport want_report, got_report;
+  const std::string want = Outcome(
+      maras::reference::ReadAsciiQuarter(files, 2014, 1, options,
+                                         &want_report),
+      want_report);
+  const std::string got = Outcome(
+      maras::faers::ReadAsciiQuarter(files, 2014, 1, options, &got_report),
+      got_report);
+  if (got != want) {
+    std::fprintf(stderr,
+                 "fuzz_ascii_quarter: reader disagrees with the reference "
+                 "under %s\n--- reference\n%s--- reader\n%s",
+                 maras::faers::IngestPolicyName(options.policy), want.c_str(),
+                 got.c_str());
+    std::abort();
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -48,13 +83,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     MARAS_IGNORE_STATUS(rewritten);  // outcome irrelevant, only no-crash
   }
 
-  maras::faers::IngestOptions options;
-  options.policy = maras::faers::IngestPolicy::kQuarantine;
-  options.max_bad_row_fraction = 1.0;  // never abort: walk every row
-  options.max_quarantined_rows = 64;   // bound capture memory
-  maras::faers::IngestReport report;
-  auto lenient =
-      maras::faers::ReadAsciiQuarter(files, 2014, 1, options, &report);
-  MARAS_IGNORE_STATUS(lenient);  // outcome irrelevant, only no-crash
+  for (maras::faers::IngestPolicy policy :
+       {maras::faers::IngestPolicy::kStrict,
+        maras::faers::IngestPolicy::kPermissive,
+        maras::faers::IngestPolicy::kQuarantine}) {
+    maras::faers::IngestOptions options;
+    options.policy = policy;
+    options.max_bad_row_fraction = 1.0;  // never abort: walk every row
+    options.max_quarantined_rows = 64;   // bound capture memory
+    CheckAgainstReference(files, options);
+  }
   return 0;
 }
