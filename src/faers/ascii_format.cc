@@ -1,10 +1,14 @@
 #include "faers/ascii_format.h"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
-#include <set>
+#include <cstring>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "util/delimited.h"
 #include "util/string_util.h"
@@ -33,31 +37,44 @@ std::string FormatAge(double age) {
 // not a primaryid of 0.
 // ---------------------------------------------------------------------------
 
-bool ParseUint64Field(const std::string& field, uint64_t* out) {
+// Digits only (leading zeros allowed), and the value must fit in 64 bits.
+bool ParseUint64Field(std::string_view field, uint64_t* out) {
   if (field.empty()) return false;
+  uint64_t value = 0;
   for (char c : field) {
     if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
   }
-  errno = 0;
-  char* end = nullptr;
-  uint64_t value = std::strtoull(field.c_str(), &end, 10);
-  if (errno == ERANGE || end != field.c_str() + field.size()) return false;
   *out = value;
   return true;
 }
 
-bool ParseUint32Field(const std::string& field, uint32_t* out) {
+bool ParseUint32Field(std::string_view field, uint32_t* out) {
   uint64_t wide = 0;
   if (!ParseUint64Field(field, &wide) || wide > 0xFFFFFFFFull) return false;
   *out = static_cast<uint32_t>(wide);
   return true;
 }
 
-bool ParseAgeField(const std::string& field, double* out) {
+// strtod's grammar (signs, exponents, "nan", hex floats), which needs a
+// NUL-terminated copy of the field; the whole field must parse, in range.
+bool ParseAgeField(std::string_view field, double* out) {
+  char small[64];
+  std::string large;
+  const char* text = small;
+  if (field.size() < sizeof(small)) {
+    std::memcpy(small, field.data(), field.size());
+    small[field.size()] = '\0';
+  } else {
+    large.assign(field);
+    text = large.c_str();
+  }
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(field.c_str(), &end);
-  if (errno == ERANGE || end != field.c_str() + field.size()) return false;
+  double value = std::strtod(text, &end);
+  if (errno == ERANGE || end != text + field.size()) return false;
   *out = value;
   return true;
 }
@@ -65,40 +82,442 @@ bool ParseAgeField(const std::string& field, double* out) {
 // Best-effort primaryid of a malformed line: its first '$'-field, when that
 // still parses. Lets permissive mode classify the row's DRUG/REAC children
 // as collateral of the rejected DEMO row rather than as orphans.
-bool PrimaryIdPrefix(const std::string& line, uint64_t* out) {
+bool PrimaryIdPrefix(std::string_view line, uint64_t* out) {
   return ParseUint64Field(line.substr(0, line.find(kDelim)), out);
 }
 
-// Per-table ingestion context shared by the row loops below.
-struct TableIngest {
-  const IngestOptions* options;
-  IngestReport* report;  // never null inside ReadAsciiQuarter
-  std::string file;      // e.g. "DEMO14Q1.txt"
-  bool strict;
+// Splits `line` on '$' into views of it, keeping empty fields.
+void SplitFields(std::string_view line, std::vector<std::string_view>* fields) {
+  fields->clear();
+  for (size_t start = 0;;) {
+    const size_t end = line.find(kDelim, start);
+    if (end == std::string_view::npos) {
+      fields->push_back(line.substr(start));
+      return;
+    }
+    fields->push_back(line.substr(start, end - start));
+    start = end + 1;
+  }
+}
 
-  bool quarantining() const {
-    return options->policy == IngestPolicy::kQuarantine;
+std::string WidthReason(size_t line, size_t fields, size_t width) {
+  return "row " + std::to_string(line) + " has " + std::to_string(fields) +
+         " fields, expected " + std::to_string(width);
+}
+
+// The lines of one table buffer: '\n'-terminated (the last terminator
+// optional), one trailing '\r' dropped. Blank lines are skipped but
+// counted, so `line` is the 1-based line number in the file.
+class LineCursor {
+ public:
+  LineCursor(std::string_view content, size_t pos, size_t line)
+      : content_(content), pos_(pos), line_(line) {}
+
+  // Advances to the next non-blank line; false at the end of the buffer.
+  bool Next(std::string_view* text, size_t* line) {
+    while (pos_ < content_.size()) {
+      const size_t eol = std::min(content_.find('\n', pos_), content_.size());
+      std::string_view current = content_.substr(pos_, eol - pos_);
+      pos_ = eol + 1;
+      ++line_;
+      if (!current.empty() && current.back() == '\r') current.remove_suffix(1);
+      if (current.empty()) continue;
+      *text = current;
+      *line = line_;
+      return true;
+    }
+    return false;
   }
 
-  // Records one rejected row. Returns the strict-mode status (Corruption with
-  // file:line context) the caller must propagate when `strict`.
-  maras::Status Reject(RowFault fault, size_t line, const std::string& column,
-                       const std::string& reason, const std::string& content) {
-    if (strict) {
-      return maras::WithContext(
-          maras::Status::Corruption(reason),
-          file + ":" + std::to_string(line) +
-              (column.empty() ? "" : " (" + column + ")"));
-    }
-    ++report->rows_rejected;
-    if (fault == RowFault::kCollateral) ++report->collateral_rows;
-    if (quarantining()) {
-      report->Quarantine(*options, QuarantinedRow{fault, file, line, column,
-                                                  reason, content});
-    }
-    return maras::Status::OK();
-  }
+ private:
+  std::string_view content_;
+  size_t pos_;
+  size_t line_;
 };
+
+// One of a quarter's three tables, read in place from its buffer. Line 1 is
+// the header; a blank line 1 leaves the table without one.
+struct Table {
+  Table(std::string file_name, std::string_view text)
+      : file(std::move(file_name)), content(text) {
+    const size_t eol = std::min(content.find('\n'), content.size());
+    std::string_view first = content.substr(0, eol);
+    if (!first.empty() && first.back() == '\r') first.remove_suffix(1);
+    if (!first.empty()) {
+      SplitFields(first, &header);
+      body = eol + 1;
+    }
+  }
+
+  // The data rows, from the line after the header.
+  LineCursor Rows() const {
+    return LineCursor(content, body, header.empty() ? 0 : 1);
+  }
+
+  // Index of the first header field named `name`, or -1 when absent.
+  int Column(std::string_view name) const {
+    auto it = std::find(header.begin(), header.end(), name);
+    return it == header.end() ? -1 : static_cast<int>(it - header.begin());
+  }
+
+  std::string file;  // e.g. "DEMO14Q1.txt"
+  std::string_view content;
+  std::vector<std::string_view> header;
+  size_t body = 0;  // offset of the line after the header
+};
+
+// Strict mode's structural check: the first row from `rows` on whose field
+// count differs from the header's, or "missing header row" for a table
+// without one and without rows. OK when the rest of the table is well
+// formed.
+maras::Status FirstWidthError(const Table& table, LineCursor rows) {
+  std::string_view text;
+  size_t line = 0;
+  while (rows.Next(&text, &line)) {
+    const size_t fields =
+        static_cast<size_t>(std::count(text.begin(), text.end(), kDelim)) + 1;
+    if (fields != table.header.size()) {
+      return maras::WithContext(
+          maras::Status::Corruption(
+              WidthReason(line, fields, table.header.size())),
+          table.file);
+    }
+  }
+  if (table.header.empty()) {
+    return maras::WithContext(maras::Status::Corruption("missing header row"),
+                              table.file);
+  }
+  return maras::Status::OK();
+}
+
+// One pass over a quarter's three buffers, DEMO first so DRUG and REAC rows
+// can join against its primaryid index. Each table is walked once on
+// string_views into its buffer; a row's text is copied only when the row is
+// rejected.
+//
+// The outcome is defined by the order a table-at-a-time reader would
+// produce it in, which this pass reproduces:
+//   - Strict mode reports a row whose field count is wrong before any
+//     other fault: a DEMO row with a bad numeric field loses to a malformed
+//     DRUG row. So a strict failure first checks the rest of the current
+//     table and the later tables for such a row (StrictFailure).
+//   - Within a table, malformed rows are quarantined before the row-level
+//     rejects (bad numerics, codes, duplicates, orphans), which wait in
+//     `pending_` until the table is done.
+class QuarterReader {
+ public:
+  QuarterReader(const AsciiQuarterFiles& files, int year, int quarter,
+                const IngestOptions& options)
+      : options_(options),
+        strict_(options.policy == IngestPolicy::kStrict),
+        year_(year),
+        quarter_(quarter),
+        tables_{Table("DEMO" + FileSuffix(year, quarter) + ".txt", files.demo),
+                Table("DRUG" + FileSuffix(year, quarter) + ".txt", files.drug),
+                Table("REAC" + FileSuffix(year, quarter) + ".txt",
+                      files.reac)} {}
+
+  maras::StatusOr<QuarterDataset> Read(IngestReport* report);
+
+ private:
+  enum TableId : size_t { kDemo = 0, kDrug = 1, kReac = 2 };
+
+  // Corruption for a table lacking a column it needs; OK otherwise.
+  maras::Status ColumnsError(TableId id) const;
+  // Strict mode: `error` at table `id`, unless a malformed row from `rest`
+  // on, or in a later table, takes precedence.
+  maras::Status StrictFailure(TableId id, LineCursor rest,
+                              maras::Status error) const;
+  // A malformed row: the strict-mode error, or counted and quarantined.
+  maras::Status RejectMalformed(const Table& table, RowFault fault,
+                                size_t line, size_t fields,
+                                std::string_view text);
+  // A row-level fault: the strict-mode error, or counted and (under
+  // kQuarantine) queued in pending_.
+  maras::Status RejectRow(TableId id, const LineCursor& rest, RowFault fault,
+                          size_t line, std::string_view column,
+                          std::string reason, std::string_view text);
+  void FlushPending();
+
+  maras::Status ReadDemo();
+  maras::Status ReadChild(TableId id, const char* payload_column,
+                          std::vector<std::string> Report::*field);
+
+  const IngestOptions& options_;
+  const bool strict_;
+  const int year_;
+  const int quarter_;
+  std::array<Table, 3> tables_;
+  IngestReport local_;
+  QuarterDataset dataset_;
+  // primaryid -> index into dataset_.reports.
+  std::unordered_map<uint64_t, size_t> by_primary_;
+  // Primaryids of DEMO rows rejected here — their DRUG/REAC rows are
+  // collateral damage of the root fault, not independent orphans.
+  std::unordered_set<uint64_t> rejected_primary_;
+  std::vector<QuarantinedRow> pending_;
+  std::vector<std::string_view> fields_;  // the current row, reused
+};
+
+constexpr const char* kTableKind[] = {"DEMO", "DRUG", "REAC"};
+
+maras::Status QuarterReader::ColumnsError(TableId id) const {
+  const Table& table = tables_[id];
+  bool present = table.Column("primaryid") >= 0;
+  if (id == kDemo) {
+    present = present && table.Column("caseid") >= 0 &&
+              table.Column("caseversion") >= 0 &&
+              table.Column("rept_cod") >= 0;
+  } else {
+    present = present && table.Column(id == kDrug ? "drugname" : "pt") >= 0;
+  }
+  if (present) return maras::Status::OK();
+  return maras::WithContext(
+      maras::Status::Corruption(std::string(kTableKind[id]) +
+                                " table missing required columns"),
+      table.file);
+}
+
+maras::Status QuarterReader::StrictFailure(TableId id, LineCursor rest,
+                                           maras::Status error) const {
+  MARAS_RETURN_IF_ERROR(FirstWidthError(tables_[id], rest));
+  for (size_t later = id + 1; later < tables_.size(); ++later) {
+    MARAS_RETURN_IF_ERROR(FirstWidthError(tables_[later], tables_[later].Rows()));
+  }
+  return error;
+}
+
+maras::Status QuarterReader::RejectMalformed(const Table& table,
+                                             RowFault fault, size_t line,
+                                             size_t fields,
+                                             std::string_view text) {
+  std::string reason = WidthReason(line, fields, table.header.size());
+  if (strict_) {
+    return maras::WithContext(maras::Status::Corruption(reason), table.file);
+  }
+  ++local_.rows_rejected;
+  if (fault == RowFault::kCollateral) ++local_.collateral_rows;
+  if (options_.policy == IngestPolicy::kQuarantine) {
+    local_.Quarantine(options_,
+                      QuarantinedRow{fault, table.file, line, "",
+                                     std::move(reason), std::string(text)});
+  }
+  return maras::Status::OK();
+}
+
+maras::Status QuarterReader::RejectRow(TableId id, const LineCursor& rest,
+                                       RowFault fault, size_t line,
+                                       std::string_view column,
+                                       std::string reason,
+                                       std::string_view text) {
+  const Table& table = tables_[id];
+  if (strict_) {
+    return StrictFailure(
+        id, rest,
+        maras::WithContext(
+            maras::Status::Corruption(reason),
+            table.file + ":" + std::to_string(line) +
+                (column.empty() ? "" : " (" + std::string(column) + ")")));
+  }
+  ++local_.rows_rejected;
+  if (fault == RowFault::kCollateral) ++local_.collateral_rows;
+  if (options_.policy == IngestPolicy::kQuarantine) {
+    pending_.push_back(QuarantinedRow{fault, table.file, line,
+                                      std::string(column), std::move(reason),
+                                      std::string(text)});
+  }
+  return maras::Status::OK();
+}
+
+void QuarterReader::FlushPending() {
+  for (QuarantinedRow& row : pending_) {
+    local_.Quarantine(options_, std::move(row));
+  }
+  pending_.clear();
+}
+
+maras::Status QuarterReader::ReadDemo() {
+  const Table& table = tables_[kDemo];
+  if (maras::Status missing = ColumnsError(kDemo); !missing.ok()) {
+    return StrictFailure(kDemo, table.Rows(), std::move(missing));
+  }
+  const auto c_primary = static_cast<size_t>(table.Column("primaryid"));
+  const auto c_caseid = static_cast<size_t>(table.Column("caseid"));
+  const auto c_version = static_cast<size_t>(table.Column("caseversion"));
+  const auto c_rept = static_cast<size_t>(table.Column("rept_cod"));
+  const int c_age = table.Column("age");
+  const int c_sex = table.Column("sex");
+  const int c_country = table.Column("occr_country");
+
+  LineCursor rows = table.Rows();
+  std::string_view text;
+  size_t line = 0;
+  while (rows.Next(&text, &line)) {
+    ++local_.rows_seen;
+    SplitFields(text, &fields_);
+    if (fields_.size() != table.header.size()) {
+      MARAS_RETURN_IF_ERROR(RejectMalformed(table, RowFault::kMalformedRow,
+                                            line, fields_.size(), text));
+      uint64_t primary = 0;
+      if (PrimaryIdPrefix(text, &primary)) rejected_primary_.insert(primary);
+      continue;
+    }
+    const std::string_view primary_text = fields_[c_primary];
+    uint64_t primary = 0;
+    if (!ParseUint64Field(primary_text, &primary)) {
+      MARAS_RETURN_IF_ERROR(RejectRow(
+          kDemo, rows, RowFault::kBadNumeric, line, "primaryid",
+          "unparseable primaryid '" + std::string(primary_text) + "'", text));
+      continue;
+    }
+    // Faults past the primaryid also mark it rejected, so the row's
+    // DRUG/REAC children are classified collateral.
+    auto reject = [&](RowFault fault, std::string_view column,
+                      std::string reason) -> maras::Status {
+      maras::Status st =
+          RejectRow(kDemo, rows, fault, line, column, std::move(reason), text);
+      if (st.ok()) rejected_primary_.insert(primary);
+      return st;
+    };
+    auto quoted = [](std::string_view field) {
+      return "'" + std::string(field) + "'";
+    };
+    Report r;
+    if (!ParseUint64Field(fields_[c_caseid], &r.case_id)) {
+      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "caseid",
+                                   "unparseable caseid " +
+                                       quoted(fields_[c_caseid])));
+      continue;
+    }
+    if (!ParseUint32Field(fields_[c_version], &r.case_version)) {
+      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "caseversion",
+                                   "unparseable caseversion " +
+                                       quoted(fields_[c_version])));
+      continue;
+    }
+    if (!ParseReportType(fields_[c_rept], &r.type)) {
+      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadCode, "rept_cod",
+                                   "bad rept_cod: " +
+                                       std::string(fields_[c_rept])));
+      continue;
+    }
+    if (c_age >= 0 && !fields_[c_age].empty() &&
+        !ParseAgeField(fields_[c_age], &r.age)) {
+      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "age",
+                                   "unparseable age " +
+                                       quoted(fields_[c_age])));
+      continue;
+    }
+    if (c_sex >= 0 && !ParseSex(fields_[c_sex], &r.sex)) {
+      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadCode, "sex",
+                                   "bad sex code: " +
+                                       std::string(fields_[c_sex])));
+      continue;
+    }
+    if (c_country >= 0) r.country = fields_[c_country];
+    if (!by_primary_.emplace(primary, dataset_.reports.size()).second) {
+      MARAS_RETURN_IF_ERROR(RejectRow(
+          kDemo, rows, RowFault::kDuplicatePrimaryId, line, "primaryid",
+          "duplicate primaryid " + std::string(primary_text), text));
+      continue;
+    }
+    dataset_.reports.push_back(std::move(r));
+  }
+  FlushPending();
+  return maras::Status::OK();
+}
+
+// DRUG and REAC rows join against the DEMO index identically; only the
+// payload column differs.
+maras::Status QuarterReader::ReadChild(
+    TableId id, const char* payload_column,
+    std::vector<std::string> Report::*field) {
+  const Table& table = tables_[id];
+  if (maras::Status missing = ColumnsError(id); !missing.ok()) {
+    return StrictFailure(id, table.Rows(), std::move(missing));
+  }
+  const auto c_primary = static_cast<size_t>(table.Column("primaryid"));
+  const auto c_payload = static_cast<size_t>(table.Column(payload_column));
+
+  LineCursor rows = table.Rows();
+  std::string_view text;
+  size_t line = 0;
+  while (rows.Next(&text, &line)) {
+    ++local_.rows_seen;
+    SplitFields(text, &fields_);
+    if (fields_.size() != table.header.size()) {
+      uint64_t primary = 0;
+      const bool collateral = PrimaryIdPrefix(text, &primary) &&
+                              rejected_primary_.count(primary) > 0;
+      MARAS_RETURN_IF_ERROR(RejectMalformed(
+          table, collateral ? RowFault::kCollateral : RowFault::kMalformedRow,
+          line, fields_.size(), text));
+      continue;
+    }
+    const std::string_view primary_text = fields_[c_primary];
+    uint64_t primary = 0;
+    if (!ParseUint64Field(primary_text, &primary)) {
+      MARAS_RETURN_IF_ERROR(RejectRow(
+          id, rows, RowFault::kBadNumeric, line, "primaryid",
+          "unparseable primaryid '" + std::string(primary_text) + "'", text));
+      continue;
+    }
+    auto it = by_primary_.find(primary);
+    if (it == by_primary_.end()) {
+      const bool collateral = rejected_primary_.count(primary) > 0;
+      MARAS_RETURN_IF_ERROR(RejectRow(
+          id, rows, collateral ? RowFault::kCollateral : RowFault::kOrphanRow,
+          line, "primaryid",
+          std::string(kTableKind[id]) + " row with unknown primaryid " +
+              std::string(primary_text),
+          text));
+      continue;
+    }
+    (dataset_.reports[it->second].*field).emplace_back(fields_[c_payload]);
+  }
+  FlushPending();
+  return maras::Status::OK();
+}
+
+maras::StatusOr<QuarterDataset> QuarterReader::Read(IngestReport* report) {
+  if (!strict_) {
+    // A lenient read fails outright only for a table it cannot interpret —
+    // no header, or no required columns — and then records nothing.
+    for (const Table& table : tables_) {
+      if (table.header.empty()) {
+        return maras::WithContext(
+            maras::Status::Corruption("missing header row"), table.file);
+      }
+    }
+    for (TableId id : {kDemo, kDrug, kReac}) {
+      MARAS_RETURN_IF_ERROR(ColumnsError(id));
+    }
+  }
+  dataset_.year = year_;
+  dataset_.quarter = quarter_;
+  MARAS_RETURN_IF_ERROR(ReadDemo());
+  MARAS_RETURN_IF_ERROR(ReadChild(kDrug, "drugname", &Report::drugs));
+  MARAS_RETURN_IF_ERROR(ReadChild(kReac, "pt", &Report::reactions));
+
+  local_.reports_ingested += dataset_.reports.size();
+  // Deliver the accounting even when the budget check below fails the read —
+  // the diagnostics explain *why* the quarter was declared unusable.
+  if (report != nullptr) report->Merge(local_);
+  if (!strict_ && local_.rows_rejected > 0 &&
+      local_.rejected_fraction() > options_.max_bad_row_fraction) {
+    char frac[32];
+    std::snprintf(frac, sizeof(frac), "%.1f%%",
+                  100.0 * local_.rejected_fraction());
+    return maras::WithContext(
+        maras::Status::Corruption(
+            std::to_string(local_.rows_rejected) + " of " +
+            std::to_string(local_.rows_seen) + " rows rejected (" + frac +
+            ") exceeds the error budget of " +
+            std::to_string(options_.max_bad_row_fraction)),
+        "quarter " + std::to_string(year_) + "Q" + std::to_string(quarter_));
+  }
+  return std::move(dataset_);
+}
 
 }  // namespace
 
@@ -163,200 +582,7 @@ maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
 maras::StatusOr<QuarterDataset> ReadAsciiQuarter(
     const AsciiQuarterFiles& files, int year, int quarter,
     const IngestOptions& options, IngestReport* report) {
-  const bool strict = options.policy == IngestPolicy::kStrict;
-  IngestReport local;
-  IngestReport* acc = &local;
-
-  std::string suffix = FileSuffix(year, quarter);
-  std::string demo_file = "DEMO" + suffix + ".txt";
-  std::string drug_file = "DRUG" + suffix + ".txt";
-  std::string reac_file = "REAC" + suffix + ".txt";
-
-  maras::DelimitedReader reader(kDelim);
-  std::vector<maras::DelimitedRowIssue> demo_issues, drug_issues, reac_issues;
-  auto parse_table = [&](const std::string& content, const std::string& file,
-                         std::vector<maras::DelimitedRowIssue>* issues)
-      -> maras::StatusOr<maras::DelimitedTable> {
-    auto table = strict ? reader.ParseString(content)
-                        : reader.ParseString(content, issues);
-    if (!table.ok()) return maras::WithContext(table.status(), file);
-    return table;
-  };
-  MARAS_ASSIGN_OR_RETURN(maras::DelimitedTable demo,
-                         parse_table(files.demo, demo_file, &demo_issues));
-  MARAS_ASSIGN_OR_RETURN(maras::DelimitedTable drug,
-                         parse_table(files.drug, drug_file, &drug_issues));
-  MARAS_ASSIGN_OR_RETURN(maras::DelimitedTable reac,
-                         parse_table(files.reac, reac_file, &reac_issues));
-
-  int d_primary = demo.ColumnIndex("primaryid");
-  int d_caseid = demo.ColumnIndex("caseid");
-  int d_version = demo.ColumnIndex("caseversion");
-  int d_rept = demo.ColumnIndex("rept_cod");
-  int d_age = demo.ColumnIndex("age");
-  int d_sex = demo.ColumnIndex("sex");
-  int d_country = demo.ColumnIndex("occr_country");
-  if (d_primary < 0 || d_caseid < 0 || d_version < 0 || d_rept < 0) {
-    return maras::WithContext(
-        maras::Status::Corruption("DEMO table missing required columns"),
-        demo_file);
-  }
-
-  QuarterDataset dataset;
-  dataset.year = year;
-  dataset.quarter = quarter;
-  // primaryid -> index into dataset.reports, ordered by first appearance.
-  std::map<uint64_t, size_t> by_primary;
-  // Primaryids of DEMO rows rejected here — their DRUG/REAC rows are
-  // collateral damage of the root fault, not independent orphans.
-  std::set<uint64_t> rejected_primary;
-
-  TableIngest demo_ctx{&options, acc, demo_file, strict};
-  acc->rows_seen += demo.rows.size() + demo_issues.size();
-  for (const maras::DelimitedRowIssue& issue : demo_issues) {
-    MARAS_RETURN_IF_ERROR(demo_ctx.Reject(RowFault::kMalformedRow, issue.line,
-                                          "", issue.reason, issue.content));
-    uint64_t primary = 0;
-    if (PrimaryIdPrefix(issue.content, &primary)) {
-      rejected_primary.insert(primary);
-    }
-  }
-  for (size_t i = 0; i < demo.rows.size(); ++i) {
-    const auto& row = demo.rows[i];
-    const size_t line = demo.row_lines[i];
-    std::string content = maras::Join(row, kDelim);
-    uint64_t primary = 0;
-    if (!ParseUint64Field(row[d_primary], &primary)) {
-      MARAS_RETURN_IF_ERROR(demo_ctx.Reject(
-          RowFault::kBadNumeric, line, "primaryid",
-          "unparseable primaryid '" + row[d_primary] + "'", content));
-      continue;
-    }
-    // Row-local reject helper: marks this DEMO row's primaryid rejected so
-    // its children are classified collateral.
-    auto reject = [&](RowFault fault, const std::string& column,
-                      const std::string& reason) -> maras::Status {
-      maras::Status st = demo_ctx.Reject(fault, line, column, reason, content);
-      if (st.ok()) rejected_primary.insert(primary);
-      return st;
-    };
-    Report r;
-    if (!ParseUint64Field(row[d_caseid], &r.case_id)) {
-      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "caseid",
-                                   "unparseable caseid '" + row[d_caseid] +
-                                       "'"));
-      continue;
-    }
-    if (!ParseUint32Field(row[d_version], &r.case_version)) {
-      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "caseversion",
-                                   "unparseable caseversion '" +
-                                       row[d_version] + "'"));
-      continue;
-    }
-    if (!ParseReportType(row[d_rept], &r.type)) {
-      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadCode, "rept_cod",
-                                   "bad rept_cod: " + row[d_rept]));
-      continue;
-    }
-    if (d_age >= 0 && !row[d_age].empty() &&
-        !ParseAgeField(row[d_age], &r.age)) {
-      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadNumeric, "age",
-                                   "unparseable age '" + row[d_age] + "'"));
-      continue;
-    }
-    if (d_sex >= 0 && !ParseSex(row[d_sex], &r.sex)) {
-      MARAS_RETURN_IF_ERROR(reject(RowFault::kBadCode, "sex",
-                                   "bad sex code: " + row[d_sex]));
-      continue;
-    }
-    if (d_country >= 0) r.country = row[d_country];
-    if (by_primary.count(primary) > 0) {
-      MARAS_RETURN_IF_ERROR(demo_ctx.Reject(
-          RowFault::kDuplicatePrimaryId, line, "primaryid",
-          "duplicate primaryid " + row[d_primary], content));
-      continue;
-    }
-    by_primary[primary] = dataset.reports.size();
-    dataset.reports.push_back(std::move(r));
-  }
-
-  // DRUG and REAC rows join against the DEMO index identically; only the
-  // payload column differs.
-  auto ingest_child_table =
-      [&](const maras::DelimitedTable& table,
-          const std::vector<maras::DelimitedRowIssue>& issues,
-          const std::string& file, const char* required_column,
-          const char* kind,
-          std::vector<std::string> Report::*field) -> maras::Status {
-    int c_primary = table.ColumnIndex("primaryid");
-    int c_payload = table.ColumnIndex(required_column);
-    if (c_primary < 0 || c_payload < 0) {
-      return maras::WithContext(
-          maras::Status::Corruption(std::string(kind) +
-                                    " table missing required columns"),
-          file);
-    }
-    TableIngest ctx{&options, acc, file, strict};
-    acc->rows_seen += table.rows.size() + issues.size();
-    for (const maras::DelimitedRowIssue& issue : issues) {
-      uint64_t primary = 0;
-      bool collateral = PrimaryIdPrefix(issue.content, &primary) &&
-                        rejected_primary.count(primary) > 0;
-      MARAS_RETURN_IF_ERROR(
-          ctx.Reject(collateral ? RowFault::kCollateral
-                                : RowFault::kMalformedRow,
-                     issue.line, "", issue.reason, issue.content));
-    }
-    for (size_t i = 0; i < table.rows.size(); ++i) {
-      const auto& row = table.rows[i];
-      const size_t line = table.row_lines[i];
-      std::string content = maras::Join(row, kDelim);
-      uint64_t primary = 0;
-      if (!ParseUint64Field(row[c_primary], &primary)) {
-        MARAS_RETURN_IF_ERROR(ctx.Reject(
-            RowFault::kBadNumeric, line, "primaryid",
-            "unparseable primaryid '" + row[c_primary] + "'", content));
-        continue;
-      }
-      auto it = by_primary.find(primary);
-      if (it == by_primary.end()) {
-        bool collateral = rejected_primary.count(primary) > 0;
-        MARAS_RETURN_IF_ERROR(ctx.Reject(
-            collateral ? RowFault::kCollateral : RowFault::kOrphanRow, line,
-            "primaryid",
-            std::string(kind) + " row with unknown primaryid " +
-                row[c_primary],
-            content));
-        continue;
-      }
-      (dataset.reports[it->second].*field).push_back(row[c_payload]);
-    }
-    return maras::Status::OK();
-  };
-  MARAS_RETURN_IF_ERROR(ingest_child_table(drug, drug_issues, drug_file,
-                                           "drugname", "DRUG",
-                                           &Report::drugs));
-  MARAS_RETURN_IF_ERROR(ingest_child_table(reac, reac_issues, reac_file, "pt",
-                                           "REAC", &Report::reactions));
-
-  acc->reports_ingested += dataset.reports.size();
-  // Deliver the accounting even when the budget check below fails the read —
-  // the diagnostics explain *why* the quarter was declared unusable.
-  if (report != nullptr) report->Merge(local);
-  if (!strict && acc->rows_rejected > 0 &&
-      acc->rejected_fraction() > options.max_bad_row_fraction) {
-    char frac[32];
-    std::snprintf(frac, sizeof(frac), "%.1f%%",
-                  100.0 * acc->rejected_fraction());
-    return maras::WithContext(
-        maras::Status::Corruption(
-            std::to_string(acc->rows_rejected) + " of " +
-            std::to_string(acc->rows_seen) + " rows rejected (" + frac +
-            ") exceeds the error budget of " +
-            std::to_string(options.max_bad_row_fraction)),
-        "quarter " + std::to_string(year) + "Q" + std::to_string(quarter));
-  }
-  return dataset;
+  return QuarterReader(files, year, quarter, options).Read(report);
 }
 
 maras::StatusOr<QuarterDataset> ReadAsciiQuarterFromDir(

@@ -14,7 +14,7 @@ std::string ReportTypeCode(ReportType type) {
   return "EXP";
 }
 
-bool ParseReportType(const std::string& code, ReportType* out) {
+bool ParseReportType(std::string_view code, ReportType* out) {
   if (code == "EXP") {
     *out = ReportType::kExpedited;
   } else if (code == "PER") {
@@ -39,7 +39,7 @@ std::string SexCode(Sex sex) {
   return "UNK";
 }
 
-bool ParseSex(const std::string& code, Sex* out) {
+bool ParseSex(std::string_view code, Sex* out) {
   if (code == "F") {
     *out = Sex::kFemale;
   } else if (code == "M") {

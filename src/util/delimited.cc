@@ -1,76 +1,16 @@
 #include "util/delimited.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "util/string_util.h"
 
 namespace maras {
-
-int DelimitedTable::ColumnIndex(const std::string& column) const {
-  for (size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == column) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-StatusOr<DelimitedTable> DelimitedReader::ParseString(
-    const std::string& content) const {
-  return ParseString(content, nullptr);
-}
-
-StatusOr<DelimitedTable> DelimitedReader::ParseString(
-    const std::string& content, std::vector<DelimitedRowIssue>* issues) const {
-  DelimitedTable table;
-  size_t pos = 0;
-  size_t line_no = 0;
-  while (pos <= content.size()) {
-    size_t eol = content.find('\n', pos);
-    std::string_view line;
-    if (eol == std::string::npos) {
-      if (pos == content.size()) break;
-      line = std::string_view(content).substr(pos);
-      pos = content.size() + 1;
-    } else {
-      line = std::string_view(content).substr(pos, eol - pos);
-      pos = eol + 1;
-    }
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    ++line_no;
-    if (line.empty()) continue;  // skip blank lines
-    std::vector<std::string> fields = Split(line, delim_);
-    if (line_no == 1) {
-      table.header = std::move(fields);
-    } else {
-      if (fields.size() != table.header.size()) {
-        std::string reason = "row " + std::to_string(line_no) + " has " +
-                             std::to_string(fields.size()) +
-                             " fields, expected " +
-                             std::to_string(table.header.size());
-        if (issues == nullptr) return Status::Corruption(reason);
-        issues->push_back(
-            DelimitedRowIssue{line_no, std::move(reason), std::string(line)});
-        continue;
-      }
-      table.rows.push_back(std::move(fields));
-      table.row_lines.push_back(line_no);
-    }
-  }
-  if (table.header.empty()) {
-    return Status::Corruption("missing header row");
-  }
-  return table;
-}
-
-StatusOr<DelimitedTable> DelimitedReader::ReadFile(
-    const std::string& path) const {
-  MARAS_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return ParseString(content);
-}
 
 StatusOr<std::string> DelimitedWriter::ToString(
     const DelimitedTable& table) const {
@@ -97,12 +37,35 @@ Status DelimitedWriter::WriteFile(const std::string& path,
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open for read: " + path);
+  // Read straight into the result, sized from fstat. Reads past that size
+  // go through `spill` and are appended, so a file that grew (or reports no
+  // size) is still read to EOF.
+  struct stat info {};
+  std::string content;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0) {
+    content.resize(static_cast<size_t>(info.st_size));
+  }
+  char spill[4096];
+  size_t filled = 0;
+  for (;;) {
+    const bool direct = filled < content.size();
+    char* dest = direct ? content.data() + filled : spill;
+    const size_t room = direct ? content.size() - filled : sizeof(spill);
+    const ssize_t n = ::read(fd, dest, room);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      return Status::IOError("read failed: " + path);
+    }
+    if (n == 0) break;
+    if (!direct) content.append(spill, static_cast<size_t>(n));
+    filled += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  content.resize(filled);
+  return content;
 }
 
 Status WriteStringToFile(const std::string& path,

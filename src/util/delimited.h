@@ -9,47 +9,12 @@
 
 namespace maras {
 
-// A parsed delimited-text table: a header row plus data rows. FAERS quarterly
-// extracts are '$'-delimited ASCII files with one header line; this reader is
-// also used (with ',') for the small vocabulary files shipped with examples.
+// A delimited-text table to serialize: a header row plus data rows. FAERS
+// quarterly extracts are '$'-delimited ASCII files with one header line
+// (faers/ascii_format reads them in place, without building a table).
 struct DelimitedTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
-  // 1-based source line of rows[i] — lets a consumer cite the original file
-  // location in diagnostics even after blank lines or rejected rows.
-  std::vector<size_t> row_lines;
-
-  // Index of `column` in the header, or -1 when absent.
-  int ColumnIndex(const std::string& column) const;
-};
-
-// One row the permissive parser rejected, with enough context to quarantine
-// or log it: where it was, why it was dropped, and its verbatim bytes.
-struct DelimitedRowIssue {
-  size_t line = 0;      // 1-based line number in the source buffer
-  std::string reason;   // e.g. "5 fields, expected 7"
-  std::string content;  // the rejected line, verbatim
-};
-
-class DelimitedReader {
- public:
-  explicit DelimitedReader(char delim) : delim_(delim) {}
-
-  // Parses an in-memory buffer. Every row must have the same number of
-  // fields as the header; a short/long row yields Corruption.
-  StatusOr<DelimitedTable> ParseString(const std::string& content) const;
-
-  // Permissive variant: a row whose field count disagrees with the header is
-  // recorded in `issues` and skipped instead of failing the parse. A missing
-  // header is still Corruption (nothing can be interpreted without one).
-  StatusOr<DelimitedTable> ParseString(
-      const std::string& content, std::vector<DelimitedRowIssue>* issues) const;
-
-  // Reads and parses a file from disk.
-  StatusOr<DelimitedTable> ReadFile(const std::string& path) const;
-
- private:
-  char delim_;
 };
 
 class DelimitedWriter {

@@ -1,11 +1,20 @@
+// The writer and file helpers of util/delimited, and the reference
+// table reader (tests/ingest_reference.h) the ingest differential oracles
+// compare the production quarter reader against.
+
 #include "util/delimited.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "tests/ingest_reference.h"
+
 namespace maras {
 namespace {
+
+using reference::DelimitedReader;
+using reference::DelimitedRowIssue;
 
 TEST(DelimitedReaderTest, ParsesHeaderAndRows) {
   DelimitedReader reader('$');
@@ -50,7 +59,7 @@ TEST(DelimitedReaderTest, EmptyFieldsPreserved) {
 }
 
 TEST(DelimitedTableTest, ColumnIndex) {
-  DelimitedTable table;
+  reference::DelimitedTable table;
   table.header = {"primaryid", "caseid", "pt"};
   EXPECT_EQ(table.ColumnIndex("caseid"), 1);
   EXPECT_EQ(table.ColumnIndex("absent"), -1);
