@@ -149,7 +149,8 @@ uint64_t IngestHash(const faers::AsciiQuarterFiles& files,
   std::string bytes = dataset.status().ToString();
   if (dataset.ok()) {
     bytes += EncodeDataset(*dataset);
-    pipeline.ProcessQuarter(*dataset, &slot);
+    const Status processed = pipeline.ProcessQuarter(*dataset, &slot);
+    if (!processed.ok()) bytes += processed.ToString();
   }
   bytes += core::EncodeQuarterCheckpoint(slot);
   return core::Fnv1a64(bytes);

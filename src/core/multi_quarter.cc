@@ -152,10 +152,13 @@ maras::StatusOr<MultiQuarterRun> ReduceQuarters(
   return run;
 }
 
-void MultiQuarterPipeline::ProcessQuarter(const faers::QuarterDataset& dataset,
-                                          QuarterCheckpoint* slot) const {
+maras::Status MultiQuarterPipeline::ProcessQuarter(
+    const faers::QuarterDataset& dataset, QuarterCheckpoint* slot) const {
   QuarterOutcome& outcome = slot->outcome;
   outcome.label = dataset.Label();
+  const maras::RunContext ungoverned;
+  const maras::RunContext& ctx =
+      options_.context != nullptr ? *options_.context : ungoverned;
   auto process = [&]() -> maras::StatusOr<faers::PreprocessResult> {
     if (options_.validate) {
       faers::ValidationReport validation =
@@ -163,21 +166,30 @@ void MultiQuarterPipeline::ProcessQuarter(const faers::QuarterDataset& dataset,
       MARAS_RETURN_IF_ERROR(faers::EnforceValidation(
           validation, options_.ingest, &outcome.ingest));
     }
-    faers::Preprocessor preprocessor(options_.preprocess);
+    std::vector<bool> duplicates;
     if (options_.remove_duplicates) {
-      faers::QuarterDataset deduped = faers::RemoveDuplicateCases(
-          dataset, options_.ingest, &outcome.ingest);
-      return preprocessor.Process(deduped, &outcome.ingest);
+      MARAS_ASSIGN_OR_RETURN(
+          duplicates, faers::MarkDuplicateCases(dataset, options_.ingest,
+                                                &outcome.ingest, ctx));
     }
-    return preprocessor.Process(dataset, &outcome.ingest);
+    return faers::Preprocessor(options_.preprocess)
+        .Process(dataset, &outcome.ingest, duplicates, ctx);
   };
   maras::StatusOr<faers::PreprocessResult> result = process();
+  const maras::Status& status = result.status();
+  // A governance stop is the run's, not the quarter's: it is never recorded
+  // (or checkpointed) as a skippable quarter failure.
+  if (status.IsCancelled() || status.IsDeadlineExceeded() ||
+      status.IsResourceExhausted()) {
+    return maras::WithContext(status, "quarter " + outcome.label);
+  }
   outcome.loaded = result.ok();
   if (result.ok()) {
     slot->result = *std::move(result);
   } else {
     outcome.status = result.status();
   }
+  return maras::Status::OK();
 }
 
 namespace {
@@ -185,7 +197,8 @@ namespace {
 // Quarter fan-out: `load(i, &slots[i])` runs as one pool task per quarter,
 // each writing only its own slot, so the in-order reduce afterwards matches
 // the serial run. The run context is polled before each quarter is handed
-// out, so a governance trip stops scheduling the remaining ones.
+// out, and inside each quarter's dedup and preprocessing, so a governance
+// trip stops the remaining ones; its Status (from `load`) fails the run.
 template <typename LoadFn>
 maras::Status LoadQuarters(const MultiQuarterOptions& options,
                            std::vector<QuarterCheckpoint>* slots,
@@ -196,8 +209,7 @@ maras::Status LoadQuarters(const MultiQuarterOptions& options,
   return maras::WithContext(
       maras::TryParallelFor(options.num_threads, slots->size(), ctx,
                             [&](size_t i) -> maras::Status {
-                              load(i, &(*slots)[i]);
-                              return maras::Status::OK();
+                              return load(i, &(*slots)[i]);
                             }),
       "multi-quarter ingest");
 }
@@ -211,18 +223,17 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::RunFromDirs(
   }
   std::vector<QuarterCheckpoint> slots(sources.size());
   MARAS_RETURN_IF_ERROR(LoadQuarters(
-      options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
+      options_, &slots,
+      [&](size_t i, QuarterCheckpoint* slot) -> maras::Status {
         const QuarterSource& source = sources[i];
         maras::StatusOr<faers::QuarterDataset> dataset =
             faers::ReadAsciiQuarterFromDir(source.directory, source.year,
                                            source.quarter, options_.ingest,
                                            &slot->outcome.ingest);
-        if (dataset.ok()) {
-          ProcessQuarter(*dataset, slot);
-        } else {
-          slot->outcome.label = source.Label();
-          slot->outcome.status = dataset.status();
-        }
+        if (dataset.ok()) return ProcessQuarter(*dataset, slot);
+        slot->outcome.label = source.Label();
+        slot->outcome.status = dataset.status();
+        return maras::Status::OK();
       }));
   return ReduceQuarters(std::move(slots), options_.ingest.policy);
 }
@@ -235,7 +246,7 @@ maras::StatusOr<MultiQuarterRun> MultiQuarterPipeline::Run(
   std::vector<QuarterCheckpoint> slots(quarters.size());
   MARAS_RETURN_IF_ERROR(
       LoadQuarters(options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
-        ProcessQuarter(quarters[i], slot);
+        return ProcessQuarter(quarters[i], slot);
       }));
   return ReduceQuarters(std::move(slots), options_.ingest.policy);
 }
@@ -271,7 +282,8 @@ maras::StatusOr<SurveillanceAnalysis> MultiQuarterPipeline::RunAnalyzed(
   }
   MARAS_RETURN_IF_ERROR(
       LoadQuarters(options_, &slots, [&](size_t i, QuarterCheckpoint* slot) {
-        if (!from_disk[i]) ProcessQuarter(quarters[i], slot);
+        if (from_disk[i]) return maras::Status::OK();
+        return ProcessQuarter(quarters[i], slot);
       }));
   // The reduce snapshots each computed quarter in input order, so the
   // checkpoint writes and crash hooks follow the serial run. The merge is

@@ -211,12 +211,15 @@ class MultiQuarterPipeline {
 
   // Validation + dedup + preprocess for one readable quarter, recorded in
   // `slot`: the label, the accounting (appended to what is already there),
-  // and either the preprocessed corpus or the failure. Public so a shard
-  // worker process (core/shard_supervisor.h) can run exactly this code on
-  // its assigned quarter — byte-identity across execution modes depends on
-  // both paths sharing one implementation.
-  void ProcessQuarter(const faers::QuarterDataset& dataset,
-                      QuarterCheckpoint* slot) const;
+  // and either the preprocessed corpus or the failure. Dedup and
+  // preprocessing poll options().context; a cancelled, expired or
+  // over-budget run is returned (with the quarter label as context) instead
+  // of being recorded, and the slot is then not to be used. Public so a
+  // shard worker process (core/shard_supervisor.h) can run exactly this
+  // code on its assigned quarter — byte-identity across execution modes
+  // depends on both paths sharing one implementation.
+  maras::Status ProcessQuarter(const faers::QuarterDataset& dataset,
+                               QuarterCheckpoint* slot) const;
 
  private:
   MultiQuarterOptions options_;

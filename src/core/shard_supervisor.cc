@@ -89,7 +89,8 @@ maras::Status RunQuarterShard(const ShardWorkerConfig& config) {
   // failure: the supervisor's reduce applies the ingest policy (strict
   // aborts, permissive warns), mirroring the single-process run.
   QuarterCheckpoint quarter;
-  MultiQuarterPipeline(config.pipeline).ProcessQuarter(dataset, &quarter);
+  MARAS_RETURN_IF_ERROR(
+      MultiQuarterPipeline(config.pipeline).ProcessQuarter(dataset, &quarter));
   WorkerSay("processed " + stage);
   MaybeChaos(config.chaos, "work");
   MARAS_RETURN_IF_ERROR(WriteCheckpoint(config.checkpoint_dir, stage,
@@ -442,7 +443,8 @@ maras::StatusOr<SurveillanceAnalysis> ShardSupervisor::RunAnalyzed(
   };
   auto fallback_quarter = [&](const ShardSpec& spec) -> maras::Status {
     QuarterCheckpoint quarter;
-    in_process.ProcessQuarter(quarters[spec.index], &quarter);
+    MARAS_RETURN_IF_ERROR(
+        in_process.ProcessQuarter(quarters[spec.index], &quarter));
     MARAS_RETURN_IF_ERROR(WriteCheckpoint(dir, spec.Stage(),
                                           EncodeQuarterCheckpoint(quarter)));
     slots[spec.index] = std::move(quarter);

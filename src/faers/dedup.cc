@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 namespace maras::faers {
 
 namespace {
+
+// Reports between two polls of the run context.
+constexpr size_t kPollInterval = 4096;
 
 // Age band boundaries match core/stratified.h (kept dependency-free here).
 int AgeBand(double age) {
@@ -17,73 +21,121 @@ int AgeBand(double age) {
   return 3;
 }
 
-// Canonical fingerprint of the clinical content of a report.
-std::string Fingerprint(const Report& report) {
-  std::vector<std::string> drugs = report.drugs;
-  std::vector<std::string> reactions = report.reactions;
-  std::sort(drugs.begin(), drugs.end());
-  drugs.erase(std::unique(drugs.begin(), drugs.end()), drugs.end());
-  std::sort(reactions.begin(), reactions.end());
-  reactions.erase(std::unique(reactions.begin(), reactions.end()),
-                  reactions.end());
+// Writes the canonical fingerprint of a report's clinical content into
+// `key`: its sorted, de-duplicated drug names, then reaction names, then
+// sex and age band. `names` is scratch space reused across reports.
+void Fingerprint(const Report& report, std::vector<std::string_view>* names,
+                 std::string* key) {
+  key->clear();
+  for (const std::vector<std::string>* list :
+       {&report.drugs, &report.reactions}) {
+    names->assign(list->begin(), list->end());
+    std::sort(names->begin(), names->end());
+    names->erase(std::unique(names->begin(), names->end()), names->end());
+    for (std::string_view name : *names) {
+      key->append(name);
+      key->push_back('\x1f');
+    }
+    key->push_back('\x1e');
+  }
+  key->append(SexCode(report.sex));
+  key->push_back(static_cast<char>('0' + AgeBand(report.age)));
+}
+
+// The one fingerprint pass behind FindDuplicateCases and MarkDuplicateCases.
+maras::Status ScanDuplicates(const QuarterDataset& dataset,
+                             const maras::RunContext& ctx,
+                             std::vector<DuplicateCluster>* clusters,
+                             DedupStats* stats) {
+  const size_t n = dataset.reports.size();
+  constexpr size_t kNoBucket = static_cast<size_t>(-1);
+  // Fingerprint -> bucket id, ids in order of each bucket's first report.
+  std::unordered_map<std::string, size_t> bucket_ids;
+  std::vector<size_t> bucket_of(n, kNoBucket);
+  std::vector<size_t> bucket_sizes;
+  std::vector<std::string_view> names;
   std::string key;
-  for (const std::string& d : drugs) {
-    key += d;
-    key += '\x1f';
+  for (size_t i = 0; i < n; ++i) {
+    if (i % kPollInterval == 0) {
+      MARAS_RETURN_IF_ERROR(maras::WithContext(ctx.Check(), "dedup"));
+    }
+    const Report& report = dataset.reports[i];
+    if (report.drugs.empty() || report.reactions.empty()) continue;
+    Fingerprint(report, &names, &key);
+    auto it = bucket_ids.find(key);
+    if (it == bucket_ids.end()) {
+      it = bucket_ids.emplace(key, bucket_sizes.size()).first;
+      bucket_sizes.push_back(0);
+    }
+    bucket_of[i] = it->second;
+    ++bucket_sizes[it->second];
   }
-  key += '\x1e';
-  for (const std::string& r : reactions) {
-    key += r;
-    key += '\x1f';
+  // Members of each bucket, in dataset order, laid out bucket by bucket.
+  std::vector<size_t> starts(bucket_sizes.size() + 1, 0);
+  for (size_t b = 0; b < bucket_sizes.size(); ++b) {
+    starts[b + 1] = starts[b] + bucket_sizes[b];
   }
-  key += '\x1e';
-  key += SexCode(report.sex);
-  key += static_cast<char>('0' + AgeBand(report.age));
-  return key;
+  std::vector<size_t> members(starts.back());
+  std::vector<size_t> fill(starts.begin(), starts.end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (bucket_of[i] != kNoBucket) members[fill[bucket_of[i]]++] = i;
+  }
+
+  DedupStats local;
+  local.reports_checked = n;
+  for (size_t b = 0; b < bucket_sizes.size(); ++b) {
+    const auto first = members.begin() + static_cast<std::ptrdiff_t>(starts[b]);
+    const auto last =
+        members.begin() + static_cast<std::ptrdiff_t>(starts[b + 1]);
+    // Distinct case ids required: versioned resubmissions are handled by
+    // the preprocessor, not flagged here.
+    const uint64_t case_id = dataset.reports[*first].case_id;
+    if (std::all_of(first, last, [&](size_t i) {
+          return dataset.reports[i].case_id == case_id;
+        })) {
+      continue;
+    }
+    DuplicateCluster cluster;
+    for (auto i = first; i != last; ++i) {
+      cluster.primary_ids.push_back(dataset.reports[*i].primary_id());
+    }
+    local.redundant_reports += cluster.primary_ids.size() - 1;
+    clusters->push_back(std::move(cluster));
+  }
+  local.clusters = clusters->size();
+  if (stats != nullptr) *stats = local;
+  return maras::Status::OK();
 }
 
 }  // namespace
 
 std::vector<DuplicateCluster> FindDuplicateCases(const QuarterDataset& dataset,
                                                  DedupStats* stats) {
-  DedupStats local;
-  local.reports_checked = dataset.reports.size();
-  // Fingerprint -> indices of matching reports, insertion-ordered.
-  std::unordered_map<std::string, std::vector<size_t>> buckets;
-  std::vector<std::string> ordered_keys;
-  for (size_t i = 0; i < dataset.reports.size(); ++i) {
-    const Report& report = dataset.reports[i];
-    if (report.drugs.empty() || report.reactions.empty()) continue;
-    std::string key = Fingerprint(report);
-    auto [it, inserted] = buckets.emplace(key, std::vector<size_t>{});
-    if (inserted) ordered_keys.push_back(key);
-    it->second.push_back(i);
-  }
   std::vector<DuplicateCluster> clusters;
-  for (const std::string& key : ordered_keys) {
-    const std::vector<size_t>& indices = buckets[key];
-    // Distinct case ids required: versioned resubmissions are handled by
-    // the preprocessor, not flagged here.
-    std::unordered_set<uint64_t> cases;
-    for (size_t i : indices) cases.insert(dataset.reports[i].case_id);
-    if (cases.size() < 2) continue;
-    DuplicateCluster cluster;
-    for (size_t i : indices) {
-      cluster.primary_ids.push_back(dataset.reports[i].primary_id());
-    }
-    local.redundant_reports += cluster.primary_ids.size() - 1;
-    clusters.push_back(std::move(cluster));
-  }
-  local.clusters = clusters.size();
-  if (stats != nullptr) *stats = local;
+  // Ungoverned, so the scan cannot fail.
+  MARAS_IGNORE_STATUS(
+      ScanDuplicates(dataset, maras::RunContext{}, &clusters, stats));
   return clusters;
 }
 
-QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
-                                    const IngestOptions& options,
-                                    IngestReport* report, DedupStats* stats) {
+maras::StatusOr<std::vector<bool>> MarkDuplicateCases(
+    const QuarterDataset& dataset, const IngestOptions& options,
+    IngestReport* report, const maras::RunContext& ctx, DedupStats* stats) {
+  std::vector<DuplicateCluster> clusters;
   DedupStats local;
-  QuarterDataset kept = RemoveDuplicateCases(dataset, &local);
+  MARAS_RETURN_IF_ERROR(ScanDuplicates(dataset, ctx, &clusters, &local));
+  std::vector<bool> skip(dataset.reports.size(), false);
+  if (!clusters.empty()) {
+    // Removal goes by primaryid: every report carrying a removed member's
+    // primaryid is skipped.
+    std::unordered_set<uint64_t> drop;
+    for (const DuplicateCluster& cluster : clusters) {
+      drop.insert(cluster.primary_ids.begin() + 1, cluster.primary_ids.end());
+    }
+    for (size_t i = 0; i < dataset.reports.size(); ++i) {
+      skip[i] = drop.count(dataset.reports[i].primary_id()) > 0;
+    }
+  }
   if (report != nullptr && local.redundant_reports > 0) {
     report->warnings.push_back(
         dataset.Label() + ": removed " +
@@ -91,7 +143,7 @@ QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
         " suspected duplicate reports in " + std::to_string(local.clusters) +
         " clusters");
     if (options.policy == IngestPolicy::kQuarantine) {
-      for (const DuplicateCluster& cluster : FindDuplicateCases(dataset)) {
+      for (const DuplicateCluster& cluster : clusters) {
         for (size_t i = 1; i < cluster.primary_ids.size(); ++i) {
           report->warnings.push_back(
               dataset.Label() + ": primaryid " +
@@ -103,25 +155,7 @@ QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
     }
   }
   if (stats != nullptr) *stats = local;
-  return kept;
-}
-
-QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
-                                    DedupStats* stats) {
-  std::vector<DuplicateCluster> clusters = FindDuplicateCases(dataset, stats);
-  std::unordered_set<uint64_t> drop;
-  for (const DuplicateCluster& cluster : clusters) {
-    for (size_t i = 1; i < cluster.primary_ids.size(); ++i) {
-      drop.insert(cluster.primary_ids[i]);
-    }
-  }
-  QuarterDataset kept;
-  kept.year = dataset.year;
-  kept.quarter = dataset.quarter;
-  for (const Report& report : dataset.reports) {
-    if (drop.count(report.primary_id()) == 0) kept.reports.push_back(report);
-  }
-  return kept;
+  return skip;
 }
 
 }  // namespace maras::faers

@@ -6,6 +6,8 @@
 
 #include "faers/ingest.h"
 #include "faers/report.h"
+#include "util/run_context.h"
+#include "util/statusor.h"
 
 namespace maras::faers {
 
@@ -32,23 +34,25 @@ struct DedupStats {
   size_t redundant_reports = 0;  // Σ (cluster size − 1)
 };
 
-// Finds suspected duplicate clusters. Reports with no drugs or no reactions
-// never match (their fingerprints are too weak to be evidence).
+// Finds suspected duplicate clusters, in order of each cluster's first
+// report. Reports with no drugs or no reactions never match (their
+// fingerprints are too weak to be evidence).
 std::vector<DuplicateCluster> FindDuplicateCases(const QuarterDataset& dataset,
                                                  DedupStats* stats = nullptr);
 
-// Returns a copy of `dataset` with redundant duplicates removed: from each
-// cluster only the first report (dataset order) survives.
-QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
-                                    DedupStats* stats = nullptr);
-
-// As above, threading the ingestion report: records one warning summarizing
-// the removal and, under kQuarantine, one warning per removed report naming
-// its primaryid and the cluster representative it duplicated.
-QuarterDataset RemoveDuplicateCases(const QuarterDataset& dataset,
-                                    const IngestOptions& options,
-                                    IngestReport* report,
-                                    DedupStats* stats = nullptr);
+// The redundant duplicates to skip: skip[i] is set for dataset.reports[i]
+// when its primaryid is a non-first member of a cluster, so from each
+// cluster only the first report (dataset order) survives. Preprocessing
+// takes the mask instead of a deduplicated copy (Preprocessor::Process).
+// From the same single fingerprint pass, records into `report` one warning
+// summarizing the removal and, under kQuarantine, one warning per removed
+// report naming its primaryid and the cluster representative it
+// duplicated. Polls `ctx` every few thousand reports and stops with its
+// Status.
+maras::StatusOr<std::vector<bool>> MarkDuplicateCases(
+    const QuarterDataset& dataset, const IngestOptions& options,
+    IngestReport* report, const maras::RunContext& ctx,
+    DedupStats* stats = nullptr);
 
 }  // namespace maras::faers
 

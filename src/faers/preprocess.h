@@ -12,6 +12,7 @@
 #include "mining/transaction_db.h"
 #include "text/dictionary.h"
 #include "text/normalizer.h"
+#include "util/run_context.h"
 #include "util/statusor.h"
 
 namespace maras::faers {
@@ -80,6 +81,17 @@ class Preprocessor {
   // surveillance run can surface what the cleaning stage discarded.
   maras::StatusOr<PreprocessResult> Process(const QuarterDataset& dataset,
                                             IngestReport* report) const;
+
+  // As above (drop accounting into `ingest` when non-null), treating every
+  // report that `skip` marks (skip[i] for dataset.reports[i]; empty marks
+  // none) as absent from the dataset — the dedup mask of MarkDuplicateCases
+  // (faers/dedup.h). Polls `ctx` every few thousand reports, so a
+  // cancelled, expired or over-budget run stops mid-quarter with its
+  // Status.
+  maras::StatusOr<PreprocessResult> Process(const QuarterDataset& dataset,
+                                            IngestReport* ingest,
+                                            const std::vector<bool>& skip,
+                                            const maras::RunContext& ctx) const;
 
   // The spelling dictionary in use (exposed for tests).
   const text::Dictionary& drug_dictionary() const { return drug_dictionary_; }

@@ -286,6 +286,74 @@ TEST_F(MultiQuarterPipelineTest, QuarantineRunAccountsForInjectedFaults) {
   EXPECT_FALSE(run->ingest.quarantined.empty());
 }
 
+// --- Governed ingest ----------------------------------------------------------
+// Dedup and preprocessing poll the run context, so a stopped run ends
+// mid-quarter with its own Status — never recorded as a skippable quarter
+// failure, whatever the ingest policy.
+
+TEST(GovernedIngestTest, PreprocessStopsOnCancelledContext) {
+  const faers::QuarterDataset dataset = GenerateRaw(2041, 3, 303);
+  CancellationToken cancel;
+  cancel.Cancel();
+  RunContext ctx;
+  ctx.cancel = &cancel;
+  faers::IngestReport report;
+  auto result = faers::Preprocessor(faers::PreprocessOptions{})
+                    .Process(dataset, &report, {}, ctx);
+  ASSERT_TRUE(result.status().IsCancelled()) << result.status().ToString();
+  EXPECT_EQ(result.status().message(), "preprocess: run cancelled");
+  EXPECT_TRUE(report.warnings.empty());
+}
+
+TEST(GovernedIngestTest, ProcessQuarterReturnsEveryStopWithTheQuarterLabel) {
+  const faers::QuarterDataset dataset = GenerateRaw(2041, 3, 303);
+  CancellationToken cancel;
+  cancel.Cancel();
+  MemoryBudget budget(64);
+  ASSERT_TRUE(budget.TryCharge(64));
+  RunContext cancelled, expired, exhausted;
+  cancelled.cancel = &cancel;
+  expired.deadline = Deadline::AfterMillis(0);
+  exhausted.budget = &budget;
+  struct Case {
+    const RunContext* ctx;
+    Status::Code code;
+  };
+  for (const Case& c : {Case{&cancelled, Status::Code::kCancelled},
+                        Case{&expired, Status::Code::kDeadlineExceeded},
+                        Case{&exhausted, Status::Code::kResourceExhausted}}) {
+    for (bool dedup : {false, true}) {
+      MultiQuarterOptions options;
+      options.ingest.policy = faers::IngestPolicy::kPermissive;
+      options.remove_duplicates = dedup;
+      options.context = c.ctx;
+      QuarterCheckpoint slot;
+      const Status status =
+          MultiQuarterPipeline(options).ProcessQuarter(dataset, &slot);
+      EXPECT_EQ(status.code(), c.code) << status.ToString();
+      EXPECT_EQ(status.message().rfind(
+                    dedup ? "quarter 2041Q3: dedup: " : "quarter 2041Q3: "
+                                                        "preprocess: ",
+                    0),
+                0u)
+          << status.ToString();
+      EXPECT_FALSE(slot.result.has_value());
+    }
+  }
+}
+
+TEST(GovernedIngestTest, UngovernedProcessQuarterLoads) {
+  MultiQuarterOptions options;
+  options.remove_duplicates = true;
+  QuarterCheckpoint slot;
+  ASSERT_TRUE(MultiQuarterPipeline(options)
+                  .ProcessQuarter(GenerateRaw(2041, 3, 303), &slot)
+                  .ok());
+  EXPECT_TRUE(slot.outcome.loaded);
+  ASSERT_TRUE(slot.result.has_value());
+  EXPECT_GT(slot.result->stats.reports_kept, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Execution-mode oracle: the in-memory analyzer and a one-quarter
 // checkpointed pipeline run are two entry points onto one stage sequence,

@@ -99,12 +99,25 @@ TEST(DedupTest, RemoveKeepsFirstOfEachCluster) {
       MakeReport(4, {"NEXIUM"}, {"NAUSEA"}),
   };
   DedupStats stats;
-  QuarterDataset kept = RemoveDuplicateCases(dataset, &stats);
+  auto skip = MarkDuplicateCases(dataset, IngestOptions{}, nullptr,
+                                 RunContext{}, &stats);
+  ASSERT_TRUE(skip.ok());
   EXPECT_EQ(stats.redundant_reports, 2u);
-  ASSERT_EQ(kept.reports.size(), 2u);
-  EXPECT_EQ(kept.reports[0].case_id, 1u);
-  EXPECT_EQ(kept.reports[1].case_id, 4u);
-  EXPECT_EQ(kept.quarter, 2);
+  EXPECT_EQ(*skip, (std::vector<bool>{false, true, true, false}));
+}
+
+TEST(DedupTest, CancelledRunStopsTheScan) {
+  QuarterDataset dataset;
+  dataset.reports = {MakeReport(1, {"A"}, {"X"}), MakeReport(2, {"A"}, {"X"})};
+  CancellationToken cancel;
+  cancel.Cancel();
+  RunContext ctx;
+  ctx.cancel = &cancel;
+  IngestReport report;
+  auto skip = MarkDuplicateCases(dataset, IngestOptions{}, &report, ctx);
+  ASSERT_TRUE(skip.status().IsCancelled());
+  EXPECT_NE(skip.status().message().find("dedup"), std::string::npos);
+  EXPECT_TRUE(report.warnings.empty());
 }
 
 TEST(DedupTest, TripleReporterCluster) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "faers/ascii_format.h"
@@ -310,9 +311,11 @@ TEST(IngestThreadingTest, DedupRecordsRemovalsUnderQuarantine) {
   dataset.reports.push_back(twin);
   IngestReport report;
   DedupStats stats;
-  QuarterDataset kept =
-      RemoveDuplicateCases(dataset, Quarantine(), &report, &stats);
-  EXPECT_EQ(kept.reports.size(), dataset.reports.size() - 1);
+  auto skip = MarkDuplicateCases(dataset, Quarantine(), &report,
+                                 maras::RunContext{}, &stats);
+  ASSERT_TRUE(skip.ok());
+  EXPECT_EQ(std::count(skip->begin(), skip->end(), true), 1);
+  EXPECT_TRUE(skip->back());
   EXPECT_EQ(stats.redundant_reports, 1u);
   ASSERT_EQ(report.warnings.size(), 2u);
   EXPECT_NE(report.warnings[0].find("duplicate"), std::string::npos);
