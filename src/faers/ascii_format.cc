@@ -195,8 +195,8 @@ maras::Status FirstWidthError(const Table& table, LineCursor rows) {
 // string_views into its buffer; a row's text is copied only when the row is
 // rejected.
 //
-// The outcome is defined by the order a table-at-a-time reader would
-// produce it in, which this pass reproduces:
+// The order of the outcome is part of the reader's contract (pinned by the
+// differential oracles against tests/ingest_reference.h):
 //   - Strict mode reports a row whose field count is wrong before any
 //     other fault: a DEMO row with a bad numeric field loses to a malformed
 //     DRUG row. So a strict failure first checks the rest of the current
@@ -210,12 +210,13 @@ class QuarterReader {
                 const IngestOptions& options)
       : options_(options),
         strict_(options.policy == IngestPolicy::kStrict),
-        year_(year),
-        quarter_(quarter),
         tables_{Table("DEMO" + FileSuffix(year, quarter) + ".txt", files.demo),
                 Table("DRUG" + FileSuffix(year, quarter) + ".txt", files.drug),
                 Table("REAC" + FileSuffix(year, quarter) + ".txt",
-                      files.reac)} {}
+                      files.reac)} {
+    dataset_.year = year;
+    dataset_.quarter = quarter;
+  }
 
   maras::StatusOr<QuarterDataset> Read(IngestReport* report);
 
@@ -245,8 +246,6 @@ class QuarterReader {
 
   const IngestOptions& options_;
   const bool strict_;
-  const int year_;
-  const int quarter_;
   std::array<Table, 3> tables_;
   IngestReport local_;
   QuarterDataset dataset_;
@@ -493,8 +492,6 @@ maras::StatusOr<QuarterDataset> QuarterReader::Read(IngestReport* report) {
       MARAS_RETURN_IF_ERROR(ColumnsError(id));
     }
   }
-  dataset_.year = year_;
-  dataset_.quarter = quarter_;
   MARAS_RETURN_IF_ERROR(ReadDemo());
   MARAS_RETURN_IF_ERROR(ReadChild(kDrug, "drugname", &Report::drugs));
   MARAS_RETURN_IF_ERROR(ReadChild(kReac, "pt", &Report::reactions));
@@ -514,7 +511,7 @@ maras::StatusOr<QuarterDataset> QuarterReader::Read(IngestReport* report) {
             std::to_string(local_.rows_seen) + " rows rejected (" + frac +
             ") exceeds the error budget of " +
             std::to_string(options_.max_bad_row_fraction)),
-        "quarter " + std::to_string(year_) + "Q" + std::to_string(quarter_));
+        "quarter " + dataset_.Label());
   }
   return std::move(dataset_);
 }

@@ -41,7 +41,7 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   if (fd < 0) return Status::IOError("cannot open for read: " + path);
   // Read straight into the result, sized from fstat. Reads past that size
   // go through `spill` and are appended, so a file that grew (or reports no
-  // size) is still read to EOF.
+  // size) is still read to EOF. A directory fails the read (EISDIR).
   struct stat info {};
   std::string content;
   if (::fstat(fd, &info) == 0 && info.st_size > 0) {

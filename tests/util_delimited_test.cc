@@ -129,6 +129,23 @@ TEST(FileIoTest, MissingFileIsIOError) {
       ReadFileToString("/nonexistent/dir/file.txt").status().IsIOError());
 }
 
+TEST(FileIoTest, DirectoryIsIOError) {
+  EXPECT_TRUE(ReadFileToString(::testing::TempDir()).status().IsIOError());
+}
+
+TEST(FileIoTest, ReadsEmptyAndLargeFiles) {
+  const std::string path = ::testing::TempDir() + "/maras_delim_sizes.txt";
+  for (size_t size : {size_t{0}, size_t{1}, size_t{4096}, size_t{70001}}) {
+    std::string content(size, 'x');
+    for (size_t i = 0; i < size; i += 97) content[i] = '\n';
+    ASSERT_TRUE(WriteStringToFile(path, content).ok());
+    auto read = ReadFileToString(path);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(*read, content) << size;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FileIoTest, ReadWriteFileTable) {
   std::string path = ::testing::TempDir() + "/maras_table_test.txt";
   DelimitedTable table;
