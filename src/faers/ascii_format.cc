@@ -229,15 +229,19 @@ class QuarterReader {
   // on, or in a later table, takes precedence.
   maras::Status StrictFailure(TableId id, LineCursor rest,
                               maras::Status error) const;
-  // A malformed row: the strict-mode error, or counted and quarantined.
+  // A malformed row: the strict-mode error, or recorded.
   maras::Status RejectMalformed(const Table& table, RowFault fault,
                                 size_t line, size_t fields,
                                 std::string_view text);
-  // A row-level fault: the strict-mode error, or counted and (under
-  // kQuarantine) queued in pending_.
+  // A row-level fault: the strict-mode error, or recorded (deferred).
   maras::Status RejectRow(TableId id, const LineCursor& rest, RowFault fault,
                           size_t line, std::string_view column,
                           std::string reason, std::string_view text);
+  // Counts a row a lenient read rejected; under kQuarantine its diagnostics
+  // go into the report now, or into pending_ when `defer`.
+  void Record(const Table& table, RowFault fault, size_t line,
+              std::string_view column, std::string reason,
+              std::string_view text, bool defer);
   void FlushPending();
 
   maras::Status ReadDemo();
@@ -294,13 +298,7 @@ maras::Status QuarterReader::RejectMalformed(const Table& table,
   if (strict_) {
     return maras::WithContext(maras::Status::Corruption(reason), table.file);
   }
-  ++local_.rows_rejected;
-  if (fault == RowFault::kCollateral) ++local_.collateral_rows;
-  if (options_.policy == IngestPolicy::kQuarantine) {
-    local_.Quarantine(options_,
-                      QuarantinedRow{fault, table.file, line, "",
-                                     std::move(reason), std::string(text)});
-  }
+  Record(table, fault, line, "", std::move(reason), text, /*defer=*/false);
   return maras::Status::OK();
 }
 
@@ -318,14 +316,23 @@ maras::Status QuarterReader::RejectRow(TableId id, const LineCursor& rest,
             table.file + ":" + std::to_string(line) +
                 (column.empty() ? "" : " (" + std::string(column) + ")")));
   }
+  Record(table, fault, line, column, std::move(reason), text, /*defer=*/true);
+  return maras::Status::OK();
+}
+
+void QuarterReader::Record(const Table& table, RowFault fault, size_t line,
+                           std::string_view column, std::string reason,
+                           std::string_view text, bool defer) {
   ++local_.rows_rejected;
   if (fault == RowFault::kCollateral) ++local_.collateral_rows;
-  if (options_.policy == IngestPolicy::kQuarantine) {
-    pending_.push_back(QuarantinedRow{fault, table.file, line,
-                                      std::string(column), std::move(reason),
-                                      std::string(text)});
+  if (options_.policy != IngestPolicy::kQuarantine) return;
+  QuarantinedRow row{fault, table.file, line, std::string(column),
+                     std::move(reason), std::string(text)};
+  if (defer) {
+    pending_.push_back(std::move(row));
+  } else {
+    local_.Quarantine(options_, std::move(row));
   }
-  return maras::Status::OK();
 }
 
 void QuarterReader::FlushPending() {
