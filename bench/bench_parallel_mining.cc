@@ -163,9 +163,14 @@ void BM_ParallelForOverhead(benchmark::State& state) {
   // Dispatch cost per index for an empty body — the floor below which
   // parallelizing a loop cannot pay off.
   const size_t n = 10000;
+  const RunContext ungoverned;
   for (auto _ : state) {
-    ParallelFor(static_cast<size_t>(state.range(0)), n,
-                [](size_t i) { benchmark::DoNotOptimize(i); });
+    Status status = TryParallelFor(static_cast<size_t>(state.range(0)), n,
+                                   ungoverned, [](size_t i, size_t) {
+                                     benchmark::DoNotOptimize(i);
+                                     return Status::OK();
+                                   });
+    benchmark::DoNotOptimize(status);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));

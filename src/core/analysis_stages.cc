@@ -100,7 +100,7 @@ maras::StatusOr<std::vector<DrugAdrRule>> BuildRulesStage(
   std::vector<maras::Status> errors(candidates.size());
   maras::Status status = maras::TryParallelFor(
       analyzer.mining.num_threads, candidates.size(), ctx,
-      [&](size_t i) -> maras::Status {
+      [&](size_t i, size_t) -> maras::Status {
         const mining::FrequentItemset& fi = *candidates[i];
         if (analyzer.verify_closed_in_db &&
             !mining::IsClosedInDatabase(db, fi.items)) {
@@ -153,7 +153,7 @@ maras::StatusOr<std::vector<Mcac>> BuildMcacsStage(
   std::vector<std::optional<maras::StatusOr<Mcac>>> built(rules.size());
   maras::Status status = maras::TryParallelFor(
       analyzer.mining.num_threads, rules.size(), ctx,
-      [&](size_t i) -> maras::Status {
+      [&](size_t i, size_t) -> maras::Status {
         built[i].emplace(builder.Build(rules[i]));
         return maras::Status::OK();
       });

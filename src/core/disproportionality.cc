@@ -229,22 +229,21 @@ ContingencyBatch MakeContingencyTables(const mining::TransactionDatabase& db,
     batch.d[i] = n - with_drugs - (with_adrs - a);
   };
 
-  const size_t threads = maras::EffectiveThreads(num_threads, rules.size());
-  if (threads <= 1) {
+  // Each worker slot owns one scratch set; lane i writes only entry i of
+  // the batch, so the lanes are scheduling-free.
+  struct LaneScratch {
     mining::TidBitmap drugs_storage, adrs_storage, scratch;
-    for (size_t i = 0; i < rules.size(); ++i) {
-      lane(i, &drugs_storage, &adrs_storage, &scratch);
-    }
-  } else {
-    // Static round-robin over `threads` tasks so each task owns a scratch
-    // set; lane i writes only slot i, so the lanes are scheduling-free.
-    maras::ParallelFor(threads, threads, [&](size_t t) {
-      mining::TidBitmap drugs_storage, adrs_storage, scratch;
-      for (size_t i = t; i < rules.size(); i += threads) {
-        lane(i, &drugs_storage, &adrs_storage, &scratch);
-      }
-    });
-  }
+  };
+  std::vector<LaneScratch> scratch(
+      maras::EffectiveThreads(num_threads, rules.size()));
+  // Ungoverned, and every lane returns OK: the fan-out cannot fail.
+  MARAS_IGNORE_STATUS(maras::TryParallelFor(
+      num_threads, rules.size(), maras::RunContext(),
+      [&](size_t i, size_t slot) {
+        LaneScratch& s = scratch[slot];
+        lane(i, &s.drugs_storage, &s.adrs_storage, &s.scratch);
+        return maras::Status::OK();
+      }));
   return batch;
 }
 

@@ -194,7 +194,7 @@ maras::Status MultiQuarterPipeline::ProcessQuarter(
 
 namespace {
 
-// Quarter fan-out: `load(i, &slots[i])` runs as one pool task per quarter,
+// Quarter fan-out: `load(i, &slots[i])` runs as one task per quarter,
 // each writing only its own slot, so the in-order reduce afterwards matches
 // the serial run. The run context is polled before each quarter is handed
 // out, and inside each quarter's dedup and preprocessing, so a governance
@@ -208,7 +208,7 @@ maras::Status LoadQuarters(const MultiQuarterOptions& options,
       options.context != nullptr ? *options.context : ungoverned;
   return maras::WithContext(
       maras::TryParallelFor(options.num_threads, slots->size(), ctx,
-                            [&](size_t i) -> maras::Status {
+                            [&](size_t i, size_t) -> maras::Status {
                               return load(i, &(*slots)[i]);
                             }),
       "multi-quarter ingest");

@@ -165,8 +165,12 @@ double StratifiedAnalyzer::MantelHaenszelRor(const DrugAdrRule& rule) const {
 std::vector<double> StratifiedAnalyzer::MantelHaenszelRors(
     const std::vector<DrugAdrRule>& rules, size_t num_threads) const {
   std::vector<double> rors(rules.size());
-  maras::ParallelFor(num_threads, rules.size(),
-                     [&](size_t i) { rors[i] = MantelHaenszelRor(rules[i]); });
+  // Ungoverned, and every index returns OK: the fan-out cannot fail.
+  MARAS_IGNORE_STATUS(maras::TryParallelFor(
+      num_threads, rules.size(), maras::RunContext(), [&](size_t i, size_t) {
+        rors[i] = MantelHaenszelRor(rules[i]);
+        return maras::Status::OK();
+      }));
   return rors;
 }
 
@@ -176,9 +180,12 @@ std::vector<bool> StratifiedAnalyzer::Confounded(
   // std::vector<bool> is bit-packed, so parallel writes into it would race;
   // collect into bytes and convert.
   std::vector<char> flags(rules.size());
-  maras::ParallelFor(num_threads, rules.size(), [&](size_t i) {
-    flags[i] = IsConfounded(rules[i], threshold) ? 1 : 0;
-  });
+  // Ungoverned, and every index returns OK: the fan-out cannot fail.
+  MARAS_IGNORE_STATUS(maras::TryParallelFor(
+      num_threads, rules.size(), maras::RunContext(), [&](size_t i, size_t) {
+        flags[i] = IsConfounded(rules[i], threshold) ? 1 : 0;
+        return maras::Status::OK();
+      }));
   return std::vector<bool>(flags.begin(), flags.end());
 }
 

@@ -1,5 +1,8 @@
 #include "mining/closed_itemsets.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "mining/flat_table.h"
 #include "mining/fpgrowth.h"
 #include "util/run_context.h"
@@ -8,6 +11,10 @@
 namespace maras::mining {
 
 namespace {
+
+// Itemsets scanned per fan-out task, which is also the governance poll
+// interval of the marking scan.
+constexpr size_t kMarkBlock = 256;
 
 // Appends to `marks` every immediate subset of `fi.items` that `fi` proves
 // non-closed (equal support). Pure read of `all`.
@@ -32,64 +39,34 @@ void MarkCoveredSubsets(const FrequentItemsetResult& all,
 
 FrequentItemsetResult FilterClosed(const FrequentItemsetResult& all,
                                    size_t num_threads) {
-  // Mark every itemset that has an equal-support immediate superset in the
-  // result by walking each itemset's immediate subsets.
-  const std::vector<FrequentItemset>& itemsets = all.itemsets();
-  const size_t workers = EffectiveThreads(num_threads, itemsets.size());
-  ItemsetFlatSet not_closed;
-  if (workers <= 1) {
-    std::vector<Itemset> marks;
-    for (const FrequentItemset& fi : itemsets) {
-      MarkCoveredSubsets(all, fi, &marks);
-    }
-    for (Itemset& s : marks) not_closed.Insert(std::move(s));
-  } else {
-    // Shard w scans itemsets w, w+workers, ...; marks are unioned serially
-    // afterwards (union is order-independent, so scheduling cannot leak
-    // into the result).
-    std::vector<std::vector<Itemset>> shard_marks(workers);
-    ParallelFor(workers, workers, [&](size_t w) {
-      for (size_t i = w; i < itemsets.size(); i += workers) {
-        MarkCoveredSubsets(all, itemsets[i], &shard_marks[w]);
-      }
-    });
-    for (std::vector<Itemset>& shard : shard_marks) {
-      for (Itemset& s : shard) not_closed.Insert(std::move(s));
-    }
-  }
-  FrequentItemsetResult closed;
-  for (const FrequentItemset& fi : all.itemsets()) {
-    if (!not_closed.Contains(fi.items)) {
-      closed.Add(fi.items, fi.support);
-    }
-  }
-  closed.SortCanonically();
-  return closed;
+  // An empty context never trips, so the governed filter cannot fail.
+  maras::StatusOr<FrequentItemsetResult> closed =
+      FilterClosed(all, num_threads, RunContext());
+  return std::move(closed).value();
 }
 
 maras::StatusOr<FrequentItemsetResult> FilterClosed(
     const FrequentItemsetResult& all, size_t num_threads,
     const RunContext& ctx) {
+  // Mark every itemset that has an equal-support immediate superset in the
+  // result by walking each itemset's immediate subsets, one block of
+  // itemsets per task; the fan-out polls `ctx` before each block.
   const std::vector<FrequentItemset>& itemsets = all.itemsets();
-  const size_t workers = EffectiveThreads(num_threads, itemsets.size());
-  // Same strided sharding as the ungoverned filter (one shard per worker,
-  // serial = one shard), with a governance poll every 256 scanned itemsets.
-  const size_t shards = workers <= 1 ? 1 : workers;
-  std::vector<std::vector<Itemset>> shard_marks(shards);
+  const size_t blocks = (itemsets.size() + kMarkBlock - 1) / kMarkBlock;
+  std::vector<std::vector<Itemset>> slot_marks(
+      EffectiveThreads(num_threads, blocks));
   maras::Status status = TryParallelFor(
-      workers, shards, ctx, [&](size_t w) -> maras::Status {
-        for (size_t i = w; i < itemsets.size(); i += shards) {
-          if ((i / shards) % 256 == 0) {
-            MARAS_RETURN_IF_ERROR(ctx.Check());
-          }
-          MarkCoveredSubsets(all, itemsets[i], &shard_marks[w]);
+      num_threads, blocks, ctx, [&](size_t block, size_t slot) {
+        const size_t end = std::min(itemsets.size(), (block + 1) * kMarkBlock);
+        for (size_t i = block * kMarkBlock; i < end; ++i) {
+          MarkCoveredSubsets(all, itemsets[i], &slot_marks[slot]);
         }
         return maras::Status::OK();
       });
   if (!status.ok()) return maras::WithContext(status, "closed-filter");
   ItemsetFlatSet not_closed;
-  for (std::vector<Itemset>& shard : shard_marks) {
-    for (Itemset& s : shard) not_closed.Insert(std::move(s));
+  for (std::vector<Itemset>& marks : slot_marks) {
+    for (Itemset& s : marks) not_closed.Insert(std::move(s));
   }
   FrequentItemsetResult closed;
   for (const FrequentItemset& fi : all.itemsets()) {
@@ -120,10 +97,9 @@ maras::StatusOr<FrequentItemsetResult> MineClosed(
     const TransactionDatabase& db, const MiningOptions& options) {
   FpGrowth miner(options);
   MARAS_ASSIGN_OR_RETURN(FrequentItemsetResult all, miner.Mine(db));
-  if (options.context != nullptr) {
-    return FilterClosed(all, options.num_threads, *options.context);
-  }
-  return FilterClosed(all, options.num_threads);
+  return FilterClosed(all, options.num_threads,
+                      options.context != nullptr ? *options.context
+                                                 : RunContext());
 }
 
 }  // namespace maras::mining

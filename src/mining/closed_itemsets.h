@@ -17,18 +17,19 @@ namespace maras::mining {
 // exactly the closed family. This is exact (no sampling, no heuristics) and
 // runs in O(Σ |S|) hash probes over the mined result.
 //
-// With num_threads > 1 the marking scan is sharded across a thread pool
-// (strided over the canonical itemset order; shards only read `all` and
-// collect marks privately) and the per-shard mark sets are unioned serially.
-// Set union is order-independent and the surviving family is re-sorted
-// canonically, so the output is byte-identical to the serial filter.
+// The marking scan fans out over blocks of itemsets; tasks only read `all`
+// and collect marks into their worker slot, and the per-slot mark sets are
+// unioned afterwards. Set union is order-independent and the surviving
+// family is re-sorted canonically, so the output is byte-identical at every
+// thread count.
 FrequentItemsetResult FilterClosed(const FrequentItemsetResult& all,
                                    size_t num_threads = 1);
 
-// Governed variant: polls `ctx` (cancellation / deadline / budget) at a
-// bounded interval inside each marking shard and stops scheduling remaining
-// shards on a trip, returning the context's status wrapped "closed-filter".
-// Output is byte-identical to the ungoverned filter when nothing trips.
+// Governed variant (the ungoverned one forwards here with an empty
+// context): polls `ctx` (cancellation / deadline / budget) before each
+// block of itemsets and stops handing out blocks on a trip, returning the
+// context's status wrapped "closed-filter". Output is byte-identical to the
+// ungoverned filter when nothing trips.
 maras::StatusOr<FrequentItemsetResult> FilterClosed(
     const FrequentItemsetResult& all, size_t num_threads,
     const RunContext& ctx);

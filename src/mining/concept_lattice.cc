@@ -49,10 +49,10 @@ size_t SlotCountFor(size_t entries) {
   return slots;
 }
 
-// Poll cadence inside the covering-edge fan-out: one RunContext check per
-// this many processed nodes keeps governance latency bounded without putting
+// Nodes per covering-edge fan-out task. The fan-out polls the RunContext
+// before each task, so this also bounds governance latency without putting
 // an atomic load in the inner counting loop.
-constexpr size_t kPollStride = 64;
+constexpr size_t kNodeBlock = 64;
 
 }  // namespace
 
@@ -172,9 +172,9 @@ maras::StatusOr<ConceptLattice> ConceptLattice::Build(
     }
   }
 
-  // Covering-edge fan-out. Work is sharded by a node-id stride so each shard
-  // owns one counting scratch for its whole lifetime; covers[v] depends only
-  // on v, so the shard assignment cannot influence output. For node v:
+  // Covering-edge fan-out, one block of kNodeBlock node ids per task; each
+  // worker slot owns one counting scratch, and covers[v] depends only on v,
+  // so the schedule cannot influence output. For node v:
   // count, over the inverted lists of v's items, how many of v's items each
   // other node carries — u with count == |u| is a proper closed subset
   // (itemsets are unique, so u ⊆ v and u ≠ v imply u ⊊ v). The covers are
@@ -183,20 +183,23 @@ maras::StatusOr<ConceptLattice> ConceptLattice::Build(
   // a new cover (every non-maximal candidate is inside some maximal one, so
   // the check against chosen covers alone is sufficient).
   std::vector<std::vector<uint32_t>> covers(n);
-  const size_t workers = std::max<size_t>(1, maras::EffectiveThreads(num_threads, n));
-  const size_t shards = std::min<size_t>(n, workers * 4);
+  struct CoverScratch {
+    std::vector<uint32_t> count;
+    std::vector<uint32_t> touched;
+    std::vector<uint32_t> candidates;
+  };
+  const size_t blocks = (n + kNodeBlock - 1) / kNodeBlock;
+  std::vector<CoverScratch> scratch(
+      maras::EffectiveThreads(num_threads, blocks));
   maras::Status fan_status = maras::TryParallelFor(
-      num_threads, shards, ctx, [&](size_t shard) -> maras::Status {
-        std::vector<uint32_t> count(n, 0);
-        std::vector<uint32_t> touched;
-        std::vector<uint32_t> candidates;
-        size_t since_poll = 0;
-        for (uint32_t v = static_cast<uint32_t>(shard); v < n;
-             v += static_cast<uint32_t>(shards)) {
-          if (++since_poll >= kPollStride) {
-            since_poll = 0;
-            MARAS_RETURN_IF_ERROR(ctx.Check());
-          }
+      num_threads, blocks, ctx, [&](size_t block, size_t slot) {
+        std::vector<uint32_t>& count = scratch[slot].count;
+        std::vector<uint32_t>& touched = scratch[slot].touched;
+        std::vector<uint32_t>& candidates = scratch[slot].candidates;
+        if (count.empty()) count.assign(n, 0);
+        const size_t last = std::min(n, (block + 1) * kNodeBlock);
+        for (uint32_t v = static_cast<uint32_t>(block * kNodeBlock); v < last;
+             ++v) {
           LatticeSpan<ItemId> v_items = lattice.NodeItems(v);
           touched.clear();
           for (ItemId id : v_items) {

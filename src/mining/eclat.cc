@@ -54,22 +54,19 @@ maras::StatusOr<FrequentItemsetResult> Eclat::Mine(
                                        policy));
   }
 
-  const size_t threads = EffectiveThreads(options_.num_threads, root.size());
-  if (threads <= 1) {
-    for (size_t i = 0; i < root.size(); ++i) {
-      MineBranch(i, root, {}, universe, policy, &result);
-    }
-  } else {
-    // One task per top-level item, each writing only its own slot; the
-    // merge walks slots in item order, so the pre-sort result sequence —
-    // and after SortCanonically the bytes — are independent of scheduling.
-    std::vector<FrequentItemsetResult> slots(root.size());
-    maras::ParallelFor(threads, root.size(), [&](size_t i) {
-      MineBranch(i, root, {}, universe, policy, &slots[i]);
-    });
-    for (FrequentItemsetResult& slot : slots) {
-      result.Absorb(std::move(slot));
-    }
+  // One task per top-level item, each writing its worker slot's result;
+  // itemsets are unique, so after SortCanonically the bytes are
+  // independent of which slot mined which branch.
+  std::vector<FrequentItemsetResult> slots(
+      maras::EffectiveThreads(options_.num_threads, root.size()));
+  MARAS_RETURN_IF_ERROR(maras::TryParallelFor(
+      options_.num_threads, root.size(), maras::RunContext(),
+      [&](size_t i, size_t slot) {
+        MineBranch(i, root, {}, universe, policy, &slots[slot]);
+        return maras::Status::OK();
+      }));
+  for (FrequentItemsetResult& slot : slots) {
+    result.Absorb(std::move(slot));
   }
   result.SortCanonically();
   return result;

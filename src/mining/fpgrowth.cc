@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <memory>
 
-#include "util/mutex.h"
 #include "util/run_context.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace maras::mining {
 
-// Per-task scratch for the allocation-free recursion. frames[d] holds the
+// Per-worker scratch for the allocation-free recursion. frames[d] holds the
 // recycled arena the conditional tree at depth d is built into, plus the
 // item-order buffer for mining it; cond_counts/touched/path serve whichever
 // BuildConditional is currently running (construction at depth d finishes
@@ -46,63 +44,6 @@ struct FpGrowth::MineScratch {
 };
 
 namespace {
-
-// Hands out MineScratch instances to parallel mining tasks. At most one
-// scratch exists per concurrently running task (≤ worker count), and a
-// recycled scratch keeps its grown arenas, so the fan-out over hundreds of
-// top-level items performs a bounded number of arena allocations total.
-class ScratchPool {
- public:
-  explicit ScratchPool(const FpTree& global_tree)
-      : global_tree_(global_tree) {}
-
-  std::unique_ptr<FpGrowth::MineScratch> Acquire() {
-    {
-      MutexLock lock(&mu_);
-      if (!free_.empty()) {
-        auto scratch = std::move(free_.back());
-        free_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<FpGrowth::MineScratch>(global_tree_);
-  }
-
-  void Recycle(std::unique_ptr<FpGrowth::MineScratch> scratch) {
-    MutexLock lock(&mu_);
-    free_.push_back(std::move(scratch));
-  }
-
-  // Sum of arena bytes the pool's scratches charged. Call after the fan-out
-  // has drained (every lease returned), before the arenas are freed.
-  size_t TotalArenaCharged() {
-    MutexLock lock(&mu_);
-    size_t total = 0;
-    for (const auto& scratch : free_) total += scratch->arena_charged;
-    return total;
-  }
-
- private:
-  const FpTree& global_tree_;
-  // mu_ guards the free list only; a leased scratch is owned exclusively
-  // by its task (the lease pointer never aliases) until Recycle hands it
-  // back under the lock.
-  Mutex mu_;
-  std::vector<std::unique_ptr<FpGrowth::MineScratch>> free_ GUARDED_BY(mu_);
-};
-
-// RAII lease so a task returns its scratch on every exit path.
-class ScratchLease {
- public:
-  explicit ScratchLease(ScratchPool* pool)
-      : pool_(pool), scratch_(pool->Acquire()) {}
-  ~ScratchLease() { pool_->Recycle(std::move(scratch_)); }
-  FpGrowth::MineScratch* get() { return scratch_.get(); }
-
- private:
-  ScratchPool* pool_;
-  std::unique_ptr<FpGrowth::MineScratch> scratch_;
-};
 
 // Approximate resident bytes of one recorded itemset: the struct, its item
 // payload, and the support-table slot. The budget bounds blow-up by order
@@ -152,40 +93,28 @@ maras::StatusOr<FrequentItemsetResult> FpGrowth::Mine(
     }
     items = std::move(mine_items);
   }
+  // One task per top-level item, handed out dynamically (conditional-tree
+  // sizes vary too much for a static split). Tasks only read the shared
+  // tree and write their worker slot's scratch, result and charge tally;
+  // the canonical sort below erases any trace of the schedule.
   const size_t workers = EffectiveThreads(options_.num_threads, items.size());
+  std::vector<MineScratch> scratch;
+  scratch.reserve(workers);
+  for (size_t slot = 0; slot < workers; ++slot) scratch.emplace_back(tree);
+  std::vector<FrequentItemsetResult> slot_results(workers);
+  std::vector<size_t> slot_charged(workers, 0);
+  const RunContext ungoverned;
+  status = TryParallelFor(
+      workers, items.size(), ctx != nullptr ? *ctx : ungoverned,
+      [&](size_t i, size_t slot) {
+        return MineItem(tree, items[i], /*depth=*/0, &scratch[slot],
+                        &slot_results[slot], &slot_charged[slot]);
+      });
   size_t charged = 0;
-  if (workers <= 1) {
-    // Loop the (possibly shard-filtered) top-level items directly; each
-    // MineItem call recurses through MineTree for its conditional trees.
-    MineScratch scratch(tree);
-    status = maras::Status::OK();
-    for (ItemId item : items) {
-      status = MineItem(tree, item, /*depth=*/0, &scratch, &result, &charged);
-      if (!status.ok()) break;
-    }
-    arena_charged += scratch.arena_charged;
-  } else {
-    // Fan out one task per top-level item. Tasks only read the shared tree
-    // and write their own shard (result + charge accounting); the canonical
-    // sort below erases any trace of the schedule.
-    const RunContext ungoverned;
-    std::vector<FrequentItemsetResult> shards(items.size());
-    std::vector<size_t> shard_charged(items.size(), 0);
-    ScratchPool pool(tree);
-    status = TryParallelFor(
-        workers, items.size(), ctx != nullptr ? *ctx : ungoverned,
-        [this, &tree, &items, &shards, &shard_charged, &pool](size_t i) {
-          ScratchLease lease(&pool);
-          return MineItem(tree, items[i], /*depth=*/0, lease.get(),
-                          &shards[i], &shard_charged[i]);
-        });
-    for (size_t c : shard_charged) charged += c;
-    arena_charged += pool.TotalArenaCharged();
-    if (status.ok()) {
-      for (FrequentItemsetResult& shard : shards) {
-        result.Absorb(std::move(shard));
-      }
-    }
+  for (size_t slot = 0; slot < workers; ++slot) {
+    charged += slot_charged[slot];
+    arena_charged += scratch[slot].arena_charged;
+    if (status.ok()) result.Absorb(std::move(slot_results[slot]));
   }
   if (ctx != nullptr && ctx->budget != nullptr) {
     ctx->budget->Release(arena_charged);

@@ -16,7 +16,7 @@ namespace maras::mining {
 // (Section 5.2); closedness filtering lives in closed_itemsets.h on top of
 // this miner's output.
 //
-// The recursion is allocation-free on the hot path: each task owns a
+// The recursion is allocation-free on the hot path: each worker owns a
 // MineScratch holding one recycled FpTree arena per recursion depth (a
 // conditional tree is built into its depth's arena with Clear(), never
 // freshly allocated), a dense conditional-count table reset via a
@@ -24,15 +24,14 @@ namespace maras::mining {
 // extended in place and popped on unwind. The only steady-state allocation
 // per frequent itemset is the itemset stored in the result.
 //
-// With MiningOptions::num_threads > 1 the top-level loop over the global
-// tree's header items fans out to a thread pool: each item's conditional
-// tree is projected and mined serially inside its own task against the
-// shared read-only global tree, producing a private result shard; tasks
-// lease scratches from a small pool, so at most one scratch exists per
-// worker. FP-Growth emits every frequent itemset exactly once — in the task
-// of its least frequent item — so the shards are disjoint, and
-// concatenation + canonical sort reconstructs the serial result byte for
-// byte regardless of thread count or schedule.
+// The top-level loop over the global tree's header items is one fan-out
+// (util/thread_pool.h) across MiningOptions::num_threads workers: each
+// item's conditional tree is projected and mined serially inside its own
+// task against the shared read-only global tree, into the running worker
+// slot's scratch and result. FP-Growth emits every frequent itemset exactly
+// once — in the task of its least frequent item — so the slot results are
+// disjoint, and concatenation + canonical sort reconstructs the serial
+// result byte for byte regardless of thread count or schedule.
 //
 // When MiningOptions::context is set, every conditional-tree step polls it
 // (cancellation / deadline) and every recorded itemset charges the memory
@@ -49,12 +48,10 @@ class FpGrowth {
   maras::StatusOr<FrequentItemsetResult> Mine(
       const TransactionDatabase& db) const;
 
-  // Per-task recycled buffers (tree arenas per depth, conditional counts,
-  // suffix stack). Defined in the .cc — public only so the scratch pool
-  // there can name it; callers have no reason to touch it.
-  struct MineScratch;
-
  private:
+  // Per-worker recycled buffers (tree arenas per depth, conditional counts,
+  // suffix stack). Defined in the .cc.
+  struct MineScratch;
 
   // Mines every item of `tree` (the conditional tree for the current
   // suffix, held in scratch->suffix). `depth` indexes the recycled arena the
@@ -65,7 +62,7 @@ class FpGrowth {
   // One step of MineTree: record {item} ∪ suffix, project the conditional
   // tree into the recycled arena for `depth` and recurse. The unit of
   // parallel fan-out. `charged` accumulates the budget bytes this call
-  // chain charged for recorded itemsets (shard-owned in the parallel path,
+  // chain charged for recorded itemsets (owned by the worker slot,
   // so no synchronization).
   maras::Status MineItem(const FpTree& tree, ItemId item, size_t depth,
                          MineScratch* scratch, FrequentItemsetResult* result,

@@ -1,6 +1,7 @@
 #include "mining/frequent_itemsets.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace maras::mining {
 
@@ -34,7 +35,14 @@ void FrequentItemsetResult::SortCanonically() {
 }
 
 void FrequentItemsetResult::Absorb(FrequentItemsetResult&& other) {
-  itemsets_.reserve(itemsets_.size() + other.itemsets_.size());
+  if (itemsets_.empty()) {
+    *this = std::move(other);
+    other = FrequentItemsetResult();
+    return;
+  }
+  // No exact-size reserve of itemsets_: merging shards one at a time would
+  // then reallocate and move the whole vector on every call. push_back
+  // grows geometrically, as the index's power-of-two slot counts do.
   index_.Reserve(itemsets_.size() + other.itemsets_.size());
   for (FrequentItemset& fi : other.itemsets_) {
     itemsets_.push_back(std::move(fi));

@@ -2,148 +2,69 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "util/mutex.h"
 
 namespace maras {
-
-ThreadPool::ThreadPool(size_t num_threads) {
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(&mu_);
-    stopping_ = true;
-  }
-  task_ready_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    // Serial pool: run inline, in submission order.
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(&mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (!queue_.empty() || in_flight_ != 0) idle_.Wait(&mu_);
-  std::exception_ptr error = first_error_;
-  first_error_ = nullptr;
-  if (error) std::rethrow_exception(error);
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&mu_);
-      while (!stopping_ && queue_.empty()) task_ready_.Wait(&mu_);
-      // Even when stopping, drain the queue before exiting so destruction
-      // never drops a submitted task.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(&mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      MutexLock lock(&mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.NotifyAll();
-    }
-  }
-}
-
-Status TryParallelFor(size_t num_threads, size_t n, const RunContext& ctx,
-                      const std::function<Status(size_t)>& fn) {
-  const size_t workers = EffectiveThreads(num_threads, n);
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      Status status = ctx.Check();
-      if (status.ok()) status = fn(i);
-      if (!status.ok()) return status;
-    }
-    return Status::OK();
-  }
-  std::atomic<size_t> next{0};
-  std::atomic<bool> stop{false};
-  Mutex error_mu;
-  Status first_error;
-  size_t first_error_index = n;  // n = no error recorded yet
-  auto record_error = [&](size_t index, Status status) {
-    MutexLock lock(&error_mu);
-    if (index < first_error_index) {
-      first_error_index = index;
-      first_error = std::move(status);
-    }
-    stop.store(true, std::memory_order_release);
-  };
-  {
-    ThreadPool pool(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.Submit([&] {
-        for (size_t i = next.fetch_add(1);
-             i < n && !stop.load(std::memory_order_acquire);
-             i = next.fetch_add(1)) {
-          Status status = ctx.Check();
-          if (status.ok()) status = fn(i);
-          if (!status.ok()) {
-            record_error(i, std::move(status));
-            return;
-          }
-        }
-      });
-    }
-    pool.Wait();
-  }
-  MutexLock lock(&error_mu);
-  return first_error_index < n ? first_error : Status::OK();
-}
 
 size_t EffectiveThreads(size_t requested, size_t items) {
   if (requested <= 1 || items <= 1) return 1;
   return std::min(requested, items);
 }
 
-void ParallelFor(size_t num_threads, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  const size_t workers = EffectiveThreads(num_threads, n);
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(workers);
+Status TryParallelFor(size_t num_threads, size_t n, const RunContext& ctx,
+                      const std::function<Status(size_t, size_t)>& fn) {
   std::atomic<size_t> next{0};
-  for (size_t w = 0; w < workers; ++w) {
-    pool.Submit([&fn, &next, n] {
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        fn(i);
+  std::atomic<bool> stop{false};
+  Mutex error_mu;
+  Status first_error;
+  size_t first_error_index = n;  // n = no failure recorded yet
+  std::exception_ptr first_exception;
+  auto run = [&](size_t slot) {
+    for (size_t i = next.fetch_add(1);
+         i < n && !stop.load(std::memory_order_acquire);
+         i = next.fetch_add(1)) {
+      try {
+        Status status = ctx.Check();
+        if (status.ok()) status = fn(i, slot);
+        if (status.ok()) continue;
+        MutexLock lock(&error_mu);
+        if (i < first_error_index) {
+          first_error_index = i;
+          first_error = std::move(status);
+        }
+      } catch (...) {
+        MutexLock lock(&error_mu);
+        if (!first_exception) first_exception = std::current_exception();
       }
-    });
+      stop.store(true, std::memory_order_release);
+      return;
+    }
+  };
+
+  const size_t workers = EffectiveThreads(num_threads, n);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (size_t slot = 1; slot < workers; ++slot) {
+    try {
+      threads.emplace_back(run, slot);
+    } catch (const std::exception&) {
+      // Out of threads or memory: the hand-out is dynamic, so the workers
+      // that did start (at least the caller) still cover every index, and
+      // they are joined below either way.
+      break;
+    }
   }
-  pool.Wait();
+  run(0);
+  for (std::thread& thread : threads) thread.join();
+
+  MutexLock lock(&error_mu);
+  if (first_exception) std::rethrow_exception(first_exception);
+  return first_error_index < n ? first_error : Status::OK();
 }
 
 }  // namespace maras

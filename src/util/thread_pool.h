@@ -2,106 +2,43 @@
 #define MARAS_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <thread>
-#include <vector>
 
-#include "util/mutex.h"
 #include "util/run_context.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace maras {
-
-// Fixed-size worker pool over one locked FIFO task queue. Deliberately no
-// work stealing: the parallel layers built on top never depend on *which*
-// worker runs a task — determinism comes from tasks writing only to
-// caller-owned, index-addressed slots — so a single queue keeps the
-// scheduling model trivial to reason about under TSAN.
-//
-// num_threads == 0 degrades to a serial pool: Submit runs the task inline on
-// the calling thread, in submission order, with the same exception
-// accounting. This makes "parallel code with num_threads=0" byte-for-byte
-// equivalent to the serial code path, which the mining determinism suite
-// relies on.
-class ThreadPool {
- public:
-  explicit ThreadPool(size_t num_threads);
-
-  // Drains every pending task (nothing submitted is dropped), then joins the
-  // workers. Exceptions still pending after the last Wait() are swallowed.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task. Tasks may throw: the exception is caught inside the
-  // worker (a throwing task never wedges the pool), the first one is stored,
-  // and the next Wait() rethrows it.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished, then rethrows the first
-  // stored task exception, if any (clearing it, so the pool stays usable).
-  void Wait();
-
-  // Worker count; 0 for a serial (inline) pool.
-  size_t num_threads() const { return workers_.size(); }
-
- private:
-  void WorkerLoop();
-
-  // mu_ is the pool's single capability: queue contents, the in-flight
-  // count, the stop flag, and the stored exception all change only under
-  // it. workers_ is unguarded by design — written once in the constructor
-  // and joined in the destructor, both single-threaded by contract.
-  Mutex mu_;
-  CondVar task_ready_;
-  CondVar idle_;
-  std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
-  size_t in_flight_ GUARDED_BY(mu_) = 0;
-  bool stopping_ GUARDED_BY(mu_) = false;
-  std::exception_ptr first_error_ GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;
-};
 
 // Worker count a parallel region should actually use: 0 and 1 both mean
 // serial, and the fan-out never exceeds the number of work items.
 size_t EffectiveThreads(size_t requested, size_t items);
 
-// Runs fn(0), ..., fn(n-1) across a pool of `num_threads` workers; indices
-// are handed out dynamically (atomic counter, no per-index task overhead).
-// With num_threads <= 1 or n <= 1 runs inline on the caller's thread.
-// Determinism is the caller's contract: fn(i) must write only to state owned
-// by index i. Rethrows the first exception any fn raised once all workers
-// have stopped; a worker whose fn throws abandons its remaining indices.
-void ParallelFor(size_t num_threads, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-// Status-returning, resource-governed ParallelFor. Before handing out each
-// index, workers poll `ctx` (cancellation / deadline / memory budget) and a
-// shared stop flag; once either trips, no further index is scheduled —
-// indices already running finish normally. Error choice is first-error-wins
-// with lowest-index preference: among the failures actually observed, the
-// one with the smallest index is returned (so a lone failing shard yields a
-// deterministic result at any thread count, and the serial path returns the
-// first failure in index order). A governance trip reports the RunContext
-// status itself. fn must still write only to caller-owned, index-addressed
-// state; with num_threads <= 1 runs inline on the caller's thread.
+// The one fan-out primitive: runs fn(i, slot) for i in [0, n) across
+// EffectiveThreads(num_threads, n) workers and returns once every worker
+// has been joined.
+//
+// * Indices are handed out dynamically through one atomic counter, so
+//   uneven per-index cost balances itself.
+// * `slot` is the running worker's id in [0, EffectiveThreads(num_threads,
+//   n)). Two calls never run on the same slot at once, so per-worker
+//   scratch is a vector indexed by slot. The caller's thread is slot 0.
+// * Before each index, `ctx` (cancellation / deadline / memory budget) and
+//   a shared stop flag are polled; once either trips, no further index is
+//   handed out — indices already running finish normally.
+// * Among the failures actually observed, the one with the lowest index is
+//   returned, so a lone failing index yields the same Status at any thread
+//   count. A governance trip returns the RunContext status itself.
+// * An exception thrown by fn (or by the poll) is caught on its worker,
+//   stops the hand-out like a failure does, and the first one caught is
+//   rethrown on the caller after the join.
+// * With one worker everything runs inline on the caller's thread in index
+//   order, stopping at the first failure.
+//
+// Determinism is the caller's contract: fn(i, slot) writes only to state
+// owned by index i or by its slot, and whatever it leaves in slot state is
+// merged in a way the schedule cannot influence.
 Status TryParallelFor(size_t num_threads, size_t n, const RunContext& ctx,
-                      const std::function<Status(size_t)>& fn);
-
-// Ordered result collection: results[i] = fn(i), computed in parallel but
-// returned in index order regardless of scheduling. T must be
-// default-constructible and movable.
-template <typename T>
-std::vector<T> ParallelMap(size_t num_threads, size_t n,
-                           const std::function<T(size_t)>& fn) {
-  std::vector<T> results(n);
-  ParallelFor(num_threads, n, [&](size_t i) { results[i] = fn(i); });
-  return results;
-}
+                      const std::function<Status(size_t, size_t)>& fn);
 
 }  // namespace maras
 

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "core/analyzer.h"
@@ -202,23 +203,36 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, SupportSweepTest,
                          ::testing::Values(4, 6, 9, 14));
 
 // The concurrency robustness cases below are the ones the MARAS_TSAN build
-// exists for: they hammer the pool's queue, the shared read-only mining
+// exists for: they hammer the fan-out's hand-out, the shared read-only mining
 // structures, and the parallel pipeline layers, so ThreadSanitizer gets to
 // observe every lock-ordering and publication pattern the library uses.
 
 TEST(ConcurrencyRobustnessTest, PoolSurvivesChurnAndMixedWorkloads) {
+  // Repeated fan-outs: every call starts and joins its own workers, so this
+  // churns thread creation, the index hand-out and the join, round after
+  // round at varying widths, with a failing and a throwing round mixed in.
   for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(1 + round % 4);
+    const size_t workers = 1 + static_cast<size_t>(round % 4);
     std::atomic<uint64_t> sum{0};
-    for (int t = 0; t < 50; ++t) {
-      pool.Submit([&sum, t] { sum.fetch_add(static_cast<uint64_t>(t)); });
-    }
-    pool.Wait();
+    Status status = TryParallelFor(
+        workers, 50, RunContext(), [&sum](size_t t, size_t) {
+          sum.fetch_add(static_cast<uint64_t>(t));
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_EQ(sum.load(), 1225u);  // 0 + 1 + ... + 49
-    // Resubmit after Wait, then let the destructor drain the tail.
-    for (int t = 0; t < 10; ++t) {
-      pool.Submit([&sum] { sum.fetch_add(1); });
-    }
+    status = TryParallelFor(workers, 10, RunContext(), [](size_t t, size_t) {
+      return t == 7 ? Status::Internal("t7") : Status::OK();
+    });
+    EXPECT_TRUE(status.IsInternal()) << status.ToString();
+    EXPECT_THROW(
+        MARAS_IGNORE_STATUS(TryParallelFor(
+            workers, 10, RunContext(),
+            [](size_t t, size_t) -> Status {
+              if (t == 3) throw std::runtime_error("t3");
+              return Status::OK();
+            })),
+        std::runtime_error);
   }
 }
 
@@ -248,7 +262,11 @@ TEST(ConcurrencyRobustnessTest, ParallelForWritesEverySlotOnce) {
   // work, the worst case for the dispatch path.
   const size_t n = 20000;
   std::vector<uint8_t> hits(n, 0);
-  ParallelFor(8, n, [&hits](size_t i) { ++hits[i]; });
+  Status status = TryParallelFor(8, n, RunContext(), [&hits](size_t i, size_t) {
+    ++hits[i];
+    return Status::OK();
+  });
+  ASSERT_TRUE(status.ok()) << status.ToString();
   size_t total = 0;
   for (uint8_t h : hits) total += h;
   EXPECT_EQ(total, n);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -14,133 +15,6 @@
 namespace maras {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsRunsInlineInSubmissionOrder) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0u);
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-    // Inline execution: the task has already run when Submit returns.
-    ASSERT_EQ(order.size(), static_cast<size_t>(i + 1));
-  }
-  pool.Wait();
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, SingleWorkerPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;  // only the one worker touches it
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
-  std::vector<int> expected(50);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, TaskExceptionDoesNotDeadlockPool) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  // Wait() returns (no deadlock), rethrows the stored exception once, and
-  // the pool keeps serving tasks afterwards.
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 20);
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  pool.Wait();  // error was cleared by the previous Wait
-  EXPECT_EQ(ran.load(), 21);
-}
-
-TEST(ThreadPoolTest, ExceptionOnSerialPoolSurfacesInWait) {
-  ThreadPool pool(0);
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("inline boom"); });
-  pool.Submit([&ran] { ran.fetch_add(1); });  // later tasks still run
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, DestructionDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        ran.fetch_add(1);
-      });
-    }
-    // No Wait(): the destructor must finish the whole queue, not drop it.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-// Shutdown-path stress for the tsan preset: hammer the construct /
-// multi-producer submit / destroy cycle so TSan gets to watch the stopping_
-// flag, the queue drain, and the worker joins race real contention. The
-// drain guarantee (nothing submitted is dropped) must hold on every cycle.
-TEST(ThreadPoolShutdownStressTest, RepeatedTeardownUnderProducerContention) {
-  constexpr int kCycles = 25;
-  constexpr int kProducers = 3;
-  constexpr int kTasksPerProducer = 40;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
-    std::atomic<int> ran{0};
-    {
-      ThreadPool pool(2);
-      std::vector<std::thread> producers;
-      for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&pool, &ran] {
-          for (int i = 0; i < kTasksPerProducer; ++i) {
-            pool.Submit([&ran] { ran.fetch_add(1); });
-          }
-        });
-      }
-      for (auto& t : producers) t.join();
-      // No Wait(): destruction races the workers against a full queue.
-    }
-    ASSERT_EQ(ran.load(), kProducers * kTasksPerProducer) << "cycle " << cycle;
-  }
-}
-
-// Wait() is idle-CondVar driven; several threads blocking in Wait() at once
-// must all wake when the queue drains, every round, without lost wakeups.
-TEST(ThreadPoolShutdownStressTest, ConcurrentWaitersAllObserveDrain) {
-  ThreadPool pool(2);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    }
-    std::vector<std::thread> waiters;
-    std::atomic<int> woke{0};
-    for (int w = 0; w < 3; ++w) {
-      waiters.emplace_back([&pool, &woke] {
-        pool.Wait();
-        woke.fetch_add(1);
-      });
-    }
-    for (auto& t : waiters) t.join();
-    EXPECT_EQ(woke.load(), 3);
-    EXPECT_EQ(ran.load(), 32);
-  }
-}
-
 TEST(EffectiveThreadsTest, SerialAndClampedCases) {
   EXPECT_EQ(EffectiveThreads(0, 100), 1u);
   EXPECT_EQ(EffectiveThreads(1, 100), 1u);
@@ -150,22 +24,35 @@ TEST(EffectiveThreadsTest, SerialAndClampedCases) {
   EXPECT_EQ(EffectiveThreads(4, 100), 4u);
 }
 
+// Ungoverned fan-out of a body that never fails, as the void call sites
+// (stratified screens, contingency tables) run it.
+void ForEachIndex(size_t num_threads, size_t n,
+                  const std::function<void(size_t)>& fn) {
+  Status status =
+      TryParallelFor(num_threads, n, RunContext(), [&fn](size_t i, size_t) {
+        fn(i);
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+}
+
 class ParallelForThreadSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelForThreadSweep, TouchesEveryIndexExactlyOnce) {
   const size_t n = 500;
   std::vector<int> touched(n, 0);
-  ParallelFor(GetParam(), n, [&touched](size_t i) { touched[i] += 1; });
+  ForEachIndex(GetParam(), n, [&touched](size_t i) { touched[i] += 1; });
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(touched[i], 1) << "index " << i;
   }
 }
 
 TEST_P(ParallelForThreadSweep, OrderedResultCollection) {
+  // Index-addressed result slots, the idiom every call site collects
+  // through: results come back in index order whatever the schedule.
   const size_t n = 200;
-  std::vector<size_t> squares = ParallelMap<size_t>(
-      GetParam(), n, [](size_t i) { return i * i; });
-  ASSERT_EQ(squares.size(), n);
+  std::vector<size_t> squares(n);
+  ForEachIndex(GetParam(), n, [&squares](size_t i) { squares[i] = i * i; });
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(squares[i], i * i);
   }
@@ -176,25 +63,107 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelForThreadSweep,
 
 TEST(ParallelForTest, EmptyRangeIsNoOp) {
   bool called = false;
-  ParallelFor(4, 0, [&called](size_t) { called = true; });
+  ForEachIndex(4, 0, [&called](size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForTest, ExceptionPropagatesWithoutDeadlock) {
-  EXPECT_THROW(
-      ParallelFor(4, 100,
-                  [](size_t i) {
-                    if (i == 17) throw std::runtime_error("index 17");
-                  }),
-      std::runtime_error);
-  // Serial path propagates too.
-  EXPECT_THROW(
-      ParallelFor(1, 10,
-                  [](size_t i) {
-                    if (i == 3) throw std::runtime_error("index 3");
-                  }),
-      std::runtime_error);
+  EXPECT_THROW(ForEachIndex(4, 100,
+                            [](size_t i) {
+                              if (i == 17) throw std::runtime_error("index 17");
+                            }),
+               std::runtime_error);
+  // Serial path propagates too, and stops at the throwing index.
+  std::vector<size_t> ran;
+  EXPECT_THROW(ForEachIndex(1, 10,
+                            [&ran](size_t i) {
+                              ran.push_back(i);
+                              if (i == 3) throw std::runtime_error("index 3");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 2, 3}));
 }
+
+// A throw stops the hand-out the way a failing Status does: every other
+// index waits until the throw has happened, so once it has, the stop flag
+// must keep the workers from draining the rest of the range.
+class TryParallelForThrowTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(TryParallelForThrowTest, OtherWorkersStopAndCallerSeesException) {
+  const size_t n = 20'000;
+  std::atomic<bool> thrown{false};
+  std::atomic<size_t> calls{0};
+  EXPECT_THROW(
+      {
+        Status status = TryParallelFor(
+            GetParam(), n, RunContext(), [&](size_t i, size_t) {
+              calls.fetch_add(1);
+              if (i == 0) {
+                thrown.store(true);
+                throw std::runtime_error("index 0");
+              }
+              while (!thrown.load()) std::this_thread::yield();
+              // Slow the survivors down so the few indices claimed while
+              // the throw unwinds cannot add up to the whole range.
+              std::this_thread::sleep_for(std::chrono::microseconds(20));
+              return Status::OK();
+            });
+        ADD_FAILURE() << "returned " << status.ToString();
+      },
+      std::runtime_error);
+  EXPECT_LT(calls.load(), n / 10) << "workers kept draining after the throw";
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, TryParallelForThrowTest,
+                         ::testing::Values(2, 8));
+
+// Worker-slot contract: every slot is below EffectiveThreads, and no slot
+// is ever used by two calls at once, so slot-indexed scratch needs no lock.
+class TryParallelForSlotTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(TryParallelForSlotTest, SlotsAreInRangeAndNeverShared) {
+  const size_t n = 2'000;
+  const size_t workers = EffectiveThreads(GetParam(), n);
+  std::vector<std::atomic<bool>> occupied(workers);
+  std::atomic<size_t> out_of_range{0};
+  std::atomic<size_t> overlaps{0};
+  std::vector<int> hits(n, 0);
+  Status status = TryParallelFor(
+      GetParam(), n, RunContext(), [&](size_t i, size_t slot) {
+        if (slot >= workers) {
+          out_of_range.fetch_add(1);
+          return Status::OK();
+        }
+        if (occupied[slot].exchange(true)) overlaps.fetch_add(1);
+        ++hits[i];
+        for (int spin = 0; spin < 50; ++spin) std::this_thread::yield();
+        occupied[slot].store(false);
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out_of_range.load(), 0u);
+  EXPECT_EQ(overlaps.load(), 0u);
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << i;
+}
+
+TEST(TryParallelForTest, OneWorkerRunsInlineOnSlotZeroInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  Status status =
+      TryParallelFor(1, 20, RunContext(), [&](size_t i, size_t slot) {
+        EXPECT_EQ(slot, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  std::vector<size_t> expected(20);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, TryParallelForSlotTest,
+                         ::testing::Values(1, 2, 8));
 
 class TryParallelForThreadSweep : public ::testing::TestWithParam<size_t> {};
 
@@ -202,7 +171,7 @@ TEST_P(TryParallelForThreadSweep, OkRunsEveryIndexOnce) {
   const size_t n = 500;
   RunContext ctx;
   std::vector<int> hits(n, 0);
-  Status status = TryParallelFor(GetParam(), n, ctx, [&hits](size_t i) {
+  Status status = TryParallelFor(GetParam(), n, ctx, [&hits](size_t i, size_t) {
     ++hits[i];
     return Status::OK();
   });
@@ -212,7 +181,7 @@ TEST_P(TryParallelForThreadSweep, OkRunsEveryIndexOnce) {
 
 TEST_P(TryParallelForThreadSweep, LoneFailureWinsAtAnyThreadCount) {
   RunContext ctx;
-  Status status = TryParallelFor(GetParam(), 300, ctx, [](size_t i) {
+  Status status = TryParallelFor(GetParam(), 300, ctx, [](size_t i, size_t) {
     if (i == 123) return Status::InvalidArgument("shard 123 failed");
     return Status::OK();
   });
@@ -226,7 +195,7 @@ TEST_P(TryParallelForThreadSweep, LowestObservedIndexPreferred) {
   // scheduled first and workers record every failure they see), so the
   // result is deterministic.
   RunContext ctx;
-  Status status = TryParallelFor(GetParam(), 64, ctx, [](size_t i) {
+  Status status = TryParallelFor(GetParam(), 64, ctx, [](size_t i, size_t) {
     return Status::Internal("index " + std::to_string(i));
   });
   ASSERT_TRUE(status.IsInternal()) << status.ToString();
@@ -240,11 +209,12 @@ INSTANTIATE_TEST_SUITE_P(Threads, TryParallelForThreadSweep,
 TEST(TryParallelForTest, FailureStopsSchedulingRemainingIndices) {
   std::atomic<size_t> executed{0};
   RunContext ctx;
-  Status status = TryParallelFor(4, 100'000, ctx, [&executed](size_t i) {
-    executed.fetch_add(1);
-    if (i == 0) return Status::Internal("early failure");
-    return Status::OK();
-  });
+  Status status =
+      TryParallelFor(4, 100'000, ctx, [&executed](size_t i, size_t) {
+        executed.fetch_add(1);
+        if (i == 0) return Status::Internal("early failure");
+        return Status::OK();
+      });
   ASSERT_TRUE(status.IsInternal()) << status.ToString();
   // The stop flag halts index hand-out: only indices already claimed when
   // the failure landed may still run, far fewer than the full range.
@@ -256,7 +226,7 @@ TEST(TryParallelForTest, CancellationStopsSchedulingMidRun) {
   RunContext ctx;
   ctx.cancel = &token;
   std::atomic<size_t> executed{0};
-  Status status = TryParallelFor(4, 100'000, ctx, [&](size_t i) {
+  Status status = TryParallelFor(4, 100'000, ctx, [&](size_t i, size_t) {
     if (i == 10) token.Cancel();  // a worker observes an external cancel
     executed.fetch_add(1);
     return Status::OK();
@@ -268,7 +238,7 @@ TEST(TryParallelForTest, CancellationStopsSchedulingMidRun) {
 TEST(TryParallelForTest, SerialPathStopsAtFirstFailureInOrder) {
   RunContext ctx;
   std::vector<size_t> ran;
-  Status status = TryParallelFor(1, 10, ctx, [&ran](size_t i) {
+  Status status = TryParallelFor(1, 10, ctx, [&ran](size_t i, size_t) {
     ran.push_back(i);
     if (i == 3) return Status::NotFound("index 3");
     return Status::OK();
@@ -281,7 +251,7 @@ TEST(TryParallelForTest, DeadlineTripSurfacesAsDeadlineExceeded) {
   RunContext ctx;
   ctx.deadline = Deadline::AfterMillis(0);  // already expired
   std::atomic<size_t> executed{0};
-  Status status = TryParallelFor(4, 1000, ctx, [&executed](size_t) {
+  Status status = TryParallelFor(4, 1000, ctx, [&executed](size_t, size_t) {
     executed.fetch_add(1);
     return Status::OK();
   });
@@ -292,7 +262,7 @@ TEST(TryParallelForTest, DeadlineTripSurfacesAsDeadlineExceeded) {
 TEST(TryParallelForTest, EmptyRangeIsOkWithoutCallingFn) {
   RunContext ctx;
   bool called = false;
-  Status status = TryParallelFor(8, 0, ctx, [&called](size_t) {
+  Status status = TryParallelFor(8, 0, ctx, [&called](size_t, size_t) {
     called = true;
     return Status::OK();
   });

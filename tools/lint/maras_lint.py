@@ -60,6 +60,10 @@ RULES = {
         "raw fork/exec*/system/popen outside src/util/subprocess.* (spawn "
         "through ChildProcess so EINTR/SIGPIPE/zombie hygiene is audited "
         "in one place)",
+    "no-raw-thread":
+        "std::thread/std::jthread/std::async/pthread_create in src/ outside "
+        "src/util/thread_pool.cc (fan out through TryParallelFor so the "
+        "library keeps one executor)",
     "serve-validated-access":
         "reinterpret_cast, memcpy/memmove or data()-pointer arithmetic in "
         "src/serve outside the accessor layer (bounded_view/mapped_file); "
@@ -101,6 +105,10 @@ NEW_DELETE_ALLOWED = {"bench/alloc_counter.cc", "bench/alloc_counter.h"}
 # The one sanctioned home of raw process-control syscalls. Everyone else
 # spawns through ChildProcess (util/subprocess.h).
 SUBPROCESS_ALLOWED = {"src/util/subprocess.cc", "src/util/subprocess.h"}
+
+# The one place in src/ that starts threads: every fan-out goes through
+# TryParallelFor (util/thread_pool.h).
+THREAD_ALLOWED = {"src/util/thread_pool.cc"}
 
 # The serving path treats every snapshot byte as hostile; these are the
 # only files allowed to touch raw memory — BoundedView's checked accessors
@@ -430,6 +438,23 @@ def rule_no_raw_subprocess(relpath, text, stripped):
                "and zombie handling are audited once")
 
 
+_RAW_THREAD_RE = re.compile(
+    r"\b(?:std\s*::\s*(?P<std>thread|jthread|async)\b"
+    r"(?!\s*::\s*hardware_concurrency)"
+    r"|(?P<posix>pthread_create)\s*\()")
+
+
+def rule_no_raw_thread(relpath, text, stripped):
+    rel = relpath.replace(os.sep, "/")
+    if not rel.startswith("src/") or rel in THREAD_ALLOWED:
+        return
+    for m in _RAW_THREAD_RE.finditer(stripped):
+        what = f"std::{m.group('std')}" if m.group("std") else m.group("posix")
+        yield (line_of(stripped, m.start()),
+               f"raw {what} in src/; fan out through TryParallelFor "
+               "(util/thread_pool.h), the library's one executor")
+
+
 _REINTERPRET_RE = re.compile(r"\breinterpret_cast\b")
 _MEMCPY_RE = re.compile(r"\bmem(?:cpy|move)\s*\(")
 _DATA_ARITH_RE = re.compile(r"\bdata\s*\(\s*\)\s*[+-](?![+-])")
@@ -543,6 +568,7 @@ RULE_FUNCS = {
     "no-using-namespace-header": rule_no_using_namespace_header,
     "statusor-unchecked-deref": rule_statusor_unchecked_deref,
     "no-raw-subprocess": rule_no_raw_subprocess,
+    "no-raw-thread": rule_no_raw_thread,
     "serve-validated-access": rule_serve_validated_access,
     "mutex-annotations": rule_mutex_annotations,
 }

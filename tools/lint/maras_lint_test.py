@@ -80,6 +80,14 @@ class RuleFixtureTest(unittest.TestCase):
         self.assert_fires("no-raw-subprocess", extra_expected=4)
         self.assert_quiet("no-raw-subprocess")
 
+    def test_no_raw_thread(self):
+        # std::thread, std::jthread, std::async and pthread_create must all
+        # fire in the bad tree; the good tree proves the thread_pool.cc
+        # exemption, that tests/ may start threads, that hardware_concurrency
+        # and this_thread are not thread starts, and comment/string stripping.
+        self.assert_fires("no-raw-thread", extra_expected=4)
+        self.assert_quiet("no-raw-thread")
+
     def test_serve_validated_access(self):
         # reinterpret_cast, memcpy, and data()-arithmetic must all fire in
         # the bad tree; the good tree proves the bounded_view.h exemption
